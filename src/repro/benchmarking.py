@@ -326,7 +326,7 @@ def _bench_plan(
     if reason is not None:
         return {"supported": False, "reason": reason}
     n = images.shape[0]
-    interpreted = ExecutionConfig(use_plan=False)
+    interpreted = ExecutionConfig(engine="interpreted")
     planned = ExecutionConfig()
     unplanned_s = _best_seconds(
         lambda: accelerator.run(images, interpreted), repeats

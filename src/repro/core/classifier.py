@@ -169,7 +169,6 @@ class BinaryCoP:
         images: np.ndarray,
         chunk_size: int = 256,
         num_workers: Optional[int] = None,
-        mode: Optional[str] = None,
         execution=None,
     ) -> np.ndarray:
         """Argmax class predictions (software float path).
@@ -187,24 +186,20 @@ class BinaryCoP:
         Table I accelerator is compiled (and cached) and the batch
         dispatched through the :mod:`repro.runtime` engine the config
         resolves to — predictions agree with the float path wherever the
-        quantised input does. ``mode="process"`` is the **deprecated**
-        spelling of ``execution=ExecutionConfig(isolation="process")``.
+        quantised input does. ``num_workers`` only drives the float path
+        (the engines take their topology from ``execution``), so passing
+        both raises.
         """
-        if mode is not None:
-            from repro.runtime import deprecated_kwargs_config
-
-            execution = deprecated_kwargs_config(
-                "BinaryCoP.predict", execution, mode=mode,
-            )
-            if execution.isolation != "process":
-                # Legacy mode="thread" named the default float path.
-                execution = None
         if execution is not None:
+            if num_workers is not None:
+                raise ValueError(
+                    "num_workers drives the float path; size a process "
+                    "pool with ExecutionConfig(isolation='process', "
+                    "workers=...) instead"
+                )
             if self._accelerator is None:
                 self._accelerator = self.deploy()
-            return self._accelerator.predict(
-                images, num_workers=num_workers, execution=execution
-            )
+            return self._accelerator.predict(images, execution=execution)
         if images.ndim == 3:
             images = images[None]
         if num_workers is not None and num_workers <= 0:

@@ -1,7 +1,7 @@
 """Process-parallel planned inference (see ARCHITECTURE.md).
 
-The GIL caps the thread-parallel datapath at roughly one core of XNOR
-compute; this package runs :class:`~repro.hw.plan.ExecutionPlan`
+The GIL caps threads at roughly one core of datapath compute; this
+package runs :class:`~repro.hw.plan.ExecutionPlan`
 inference across *processes* instead. Each worker owns a pre-warmed
 :class:`~repro.hw.plan.PlanCache` bound to a shared-memory
 :class:`~repro.parallel.shm.SharedArena`; batches and logits move

@@ -2,9 +2,9 @@
 
 Every inference path in the repo is a registered :class:`EngineSpec`:
 a name, a factory, and declared capability flags. The resolution rules
-(:func:`resolve_engine_name`) are the **only** place that decides which
-datapath a given :class:`~repro.runtime.config.ExecutionConfig` lands
-on — ``FinnAccelerator.predict``, the serving backends, the benchmark
+(:func:`resolve_engine_name`) map an
+:class:`~repro.runtime.config.ExecutionConfig` to one engine —
+``FinnAccelerator.predict``, the serving backends, the benchmark
 drivers and the CLI all dispatch through here, so a future backend
 (e.g. a real accelerator transport) plugs in by registering one spec.
 
@@ -12,12 +12,13 @@ Resolution, in order:
 
 1. ``config.engine`` pins a registered engine by name.
 2. ``isolation="process"`` → ``process``.
-3. ``workers > 1`` → ``threaded`` (thread-parallel interpreted chunks).
-4. ``use_plan=False`` or ``packed_datapath=False`` → ``interpreted``.
-5. Models the planner cannot compile fall back to ``interpreted`` under
-   ``lowering="auto"`` (an explicit lowering raises instead).
-6. Otherwise ``planned-blas`` / ``planned-packed`` per the resolved
-   lowering (``auto`` picks BLAS when exact in float32).
+3. A model :func:`~repro.hw.plan.plan_unsupported_reason` rejects (an
+   unplannable layer grammar, or a GEMM outside float32's exact-integer
+   range) → ``interpreted``.
+4. Otherwise ``planned-blas``.
+
+Whether a model can be planned is decided by that one predicate; the
+registry only reads its answer.
 """
 
 from __future__ import annotations
@@ -120,33 +121,20 @@ def engine_table() -> list:
 def resolve_engine_name(
     config: ExecutionConfig, accelerator=None
 ) -> str:
-    """The engine a config lands on (see module docstring for rules)."""
+    """The engine a config lands on (see module docstring for rules).
+
+    Without an ``accelerator`` the model is assumed plannable."""
     _ensure_builtins()
     if config.engine is not None:
         return engine_spec(config.engine).name
     if config.isolation == "process":
         return "process"
-    if config.workers is not None and config.workers > 1:
-        return "threaded"
-    if not config.use_plan or config.packed_datapath is False:
-        return "interpreted"
-    lowering = config.lowering
     if accelerator is not None:
-        from repro.hw.plan import _resolve_lowering, plan_unsupported_reason
+        from repro.hw.plan import plan_unsupported_reason
 
         if plan_unsupported_reason(accelerator) is not None:
-            if lowering == "auto":
-                # Legacy predict semantics: silently keep the reference
-                # path for models the planner cannot compile.
-                return "interpreted"
-        elif lowering == "auto":
-            lowering = _resolve_lowering(accelerator, "auto")
-    if lowering == "auto":
-        raise ValueError(
-            "lowering='auto' needs an accelerator to resolve against; "
-            "pass one or pin lowering='blas'/'packed'"
-        )
-    return engine_spec(f"planned-{lowering}").name
+            return "interpreted"
+    return "planned-blas"
 
 
 def create_engine(accelerator, config: ExecutionConfig, **kwargs):

@@ -6,7 +6,7 @@ queue applies explicit backpressure (reject-with-reason, priority
 shedding under overload), a micro-batcher coalesces traffic up to
 ``max_batch_size`` or ``max_wait_ms`` — whichever comes first — and a
 worker pool executes batches on pluggable backends (the numpy
-``BinaryCoP`` path, the bit-packed XNOR ``FinnAccelerator`` simulator)
+``BinaryCoP`` path, the ``FinnAccelerator`` integer datapath)
 with per-backend concurrency derived from the Table I folding. Every
 outcome — completion, rejection, shed, timeout, failure — is explicit
 and counted by the metrics registry.

@@ -50,6 +50,7 @@ class RejectionReason(enum.Enum):
 
     QUEUE_FULL = "queue_full"
     SHUTTING_DOWN = "shutting_down"
+    INVALID_INPUT = "invalid_input"  # non-finite pixels: would fail its batch
 
 
 class ServingError(RuntimeError):

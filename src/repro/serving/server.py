@@ -36,6 +36,7 @@ from repro.serving.batcher import MicroBatcher
 from repro.serving.metrics import MetricsRegistry, ServerStats, StatsReporter
 from repro.serving.request import (
     InferenceRequest,
+    RejectionReason,
     RequestStatus,
     ResultHandle,
 )
@@ -195,27 +196,20 @@ class InferenceServer:
         cls,
         accelerator,
         config: Optional[ServingConfig] = None,
-        mode: Optional[str] = None,
         execution=None,
     ) -> "InferenceServer":
-        """Serve a compiled ``FinnAccelerator`` (bit-packed XNOR path).
+        """Serve a compiled ``FinnAccelerator`` on its integer datapath.
 
         ``execution`` (an :class:`~repro.runtime.ExecutionConfig`) picks
         the runtime engine: process isolation serves through a
         :class:`~repro.serving.backends.ProcessPoolBackend` — one plan
         cache per worker *process*, multi-core throughput (closed with
         the server) — anything else through an
-        :class:`~repro.serving.backends.AcceleratorBackend`. ``mode`` is
-        the **deprecated** spelling (``"process"`` maps to
-        ``isolation="process"``).
+        :class:`~repro.serving.backends.AcceleratorBackend`.
         """
-        from repro.runtime import ExecutionConfig, deprecated_kwargs_config
+        from repro.runtime import ExecutionConfig
 
-        if mode is not None:
-            execution = deprecated_kwargs_config(
-                "InferenceServer.from_accelerator", execution, mode=mode,
-            )
-        elif execution is None:
+        if execution is None:
             execution = ExecutionConfig()
         config = config or ServingConfig()
         if execution.isolation == "process":
@@ -291,7 +285,10 @@ class InferenceServer:
         Backpressure is explicit: the returned handle is already
         resolved as REJECTED (with a reason in ``handle.detail``) when
         admission control refuses it — inspect ``handle.status`` or let
-        ``handle.result()`` raise. ``priority`` orders service (higher
+        ``handle.result()`` raise. A float image with NaN or inf pixels
+        is refused the same way (``invalid_input``): every engine
+        rejects such a batch, so admitting it would fail the requests
+        coalesced with it. ``priority`` orders service (higher
         first) and governs shedding under overload; ``timeout_s``
         (default: config's ``default_timeout_s``) is the per-request
         deadline after which a queued request is dropped as TIMED_OUT.
@@ -317,13 +314,17 @@ class InferenceServer:
                 },
             )
         self.metrics.increment("submitted")
-        admission = self._queue.offer(request)
-        if admission.shed is not None:
-            self.metrics.increment("shed")
-        if not admission.accepted:
+        if image.dtype.kind == "f" and not np.isfinite(image).all():
+            reason = RejectionReason.INVALID_INPUT
+        else:
+            admission = self._queue.offer(request)
+            if admission.shed is not None:
+                self.metrics.increment("shed")
+            reason = None if admission.accepted else admission.reason
+        if reason is not None:
             request.resolve(
                 RequestStatus.REJECTED,
-                detail=f"admission refused: {admission.reason.value}",
+                detail=f"admission refused: {reason.value}",
             )
             self.metrics.increment("rejected")
         return ResultHandle(request)

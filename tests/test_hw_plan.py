@@ -4,9 +4,9 @@ Locks the tentpole's contract:
 
 1. a compiled :class:`ExecutionPlan` is bit-exact against the
    interpreted datapath — logits *and* ``return_bits`` traces — for
-   every Table I prototype, under both GEMM lowerings and both input
-   dtypes, and the PR3 golden logits still come out identical through
-   ``predict(use_plan=True)``;
+   every Table I prototype and both input dtypes, the PR3 golden logits
+   still come out identical through the planned engine, and a model
+   outside float32's exact-integer range is not planned;
 2. plan-cache keys invalidate on folding-config or batch-shape change,
    and a stale plan (arena cleared underneath it) is never reused;
 3. steady-state planned execution performs zero heap allocations
@@ -35,11 +35,14 @@ from repro.hw.plan import (
     plan_unsupported_reason,
 )
 from repro.nn.arena import BufferArena
+from repro.runtime import ExecutionConfig, resolve_engine_name
 from repro.testing import randomize_bn_stats
 
 PROTOTYPES = ("cnv", "n-cnv", "u-cnv")
+INTERPRETED = ExecutionConfig(engine="interpreted")
+PLANNED = ExecutionConfig(engine="planned-blas")
 
-# Same golden capture as test_hw_packed_datapath (pre-PR3 boolean
+# Same golden capture as TestGoldenLogits (pre-PR3 boolean
 # datapath, seed batch below): the planned path must not move a logit.
 GOLDEN_LOGITS = {
     "cnv": [[-54, 28, -8, 26], [-8, 34, 22, 16], [0, -2, -30, 0], [8, 30, -18, 4]],
@@ -67,26 +70,20 @@ def seed_batch():
 
 class TestBitExactness:
     @pytest.mark.parametrize("arch", PROTOTYPES)
-    @pytest.mark.parametrize("lowering", ("blas", "packed"))
-    def test_logits_match_interpreted(
-        self, accelerators, seed_batch, arch, lowering
-    ):
+    def test_logits_match_interpreted(self, accelerators, seed_batch, arch):
         acc = accelerators[arch]
-        plan = ExecutionPlan(acc, seed_batch.shape[0], lowering=lowering)
+        plan = ExecutionPlan(acc, seed_batch.shape[0])
         np.testing.assert_array_equal(
             plan.execute(seed_batch),
-            acc.execute(seed_batch, use_plan=False),
+            acc.execute(seed_batch, execution=INTERPRETED),
         )
 
     @pytest.mark.parametrize("arch", PROTOTYPES)
-    @pytest.mark.parametrize("lowering", ("blas", "packed"))
-    def test_return_bits_traces_match(
-        self, accelerators, seed_batch, arch, lowering
-    ):
+    def test_return_bits_traces_match(self, accelerators, seed_batch, arch):
         acc = accelerators[arch]
-        plan = ExecutionPlan(acc, seed_batch.shape[0], lowering=lowering)
+        plan = ExecutionPlan(acc, seed_batch.shape[0])
         ref_logits, ref_trace = acc.execute(
-            seed_batch, return_bits=True, use_plan=False
+            seed_batch, return_bits=True, execution=INTERPRETED
         )
         logits, trace = plan.execute(seed_batch, return_bits=True)
         np.testing.assert_array_equal(logits, ref_logits)
@@ -102,7 +99,7 @@ class TestBitExactness:
         pixels = np.rint(seed_batch.astype(np.float64) * 255).astype(np.uint8)
         plan = ExecutionPlan(acc, pixels.shape[0])
         np.testing.assert_array_equal(
-            plan.execute(pixels), acc.execute(pixels, use_plan=False)
+            plan.execute(pixels), acc.execute(pixels, execution=INTERPRETED)
         )
 
     @pytest.mark.parametrize("arch", PROTOTYPES)
@@ -111,7 +108,7 @@ class TestBitExactness:
     ):
         acc = accelerators[arch]
         np.testing.assert_array_equal(
-            acc.execute(seed_batch, use_plan=True),
+            acc.execute(seed_batch, execution=PLANNED),
             np.array(GOLDEN_LOGITS[arch], dtype=np.int64),
         )
         np.testing.assert_array_equal(
@@ -141,6 +138,21 @@ class TestBitExactness:
             for stage in acc.stages:
                 assert blas_exact_bound(stage) < 2 ** 24
 
+    def test_model_beyond_float32_exact_range_is_not_planned(
+        self, monkeypatch, seed_batch
+    ):
+        import repro.hw.plan as plan_module
+
+        acc = build_accelerator("u-cnv")
+        monkeypatch.setattr(plan_module, "_F32_EXACT", 64)
+        assert "exact-integer range" in plan_unsupported_reason(acc)
+        assert resolve_engine_name(ExecutionConfig(), acc) == "interpreted"
+        with pytest.raises(ValueError, match="exact-integer range"):
+            ExecutionPlan(acc, 2)
+        np.testing.assert_array_equal(
+            acc.predict(seed_batch), np.argmax(GOLDEN_LOGITS["u-cnv"], axis=1)
+        )
+
 
 class TestPlanKey:
     @settings(max_examples=20, deadline=None)
@@ -169,7 +181,7 @@ class TestPlanKey:
         )
         np.testing.assert_array_equal(
             ExecutionPlan(other, 4).execute(batch),
-            other.execute(batch, use_plan=False),
+            other.execute(batch, execution=INTERPRETED),
         )
 
     def test_key_is_deterministic(self, shared_accelerator):
@@ -259,7 +271,7 @@ class TestPlanCache:
 
     def test_accelerator_deepcopy_resets_the_cache(self, seed_batch):
         acc = build_accelerator("u-cnv")
-        acc.execute(seed_batch, use_plan=True)  # populate the plan cache
+        acc.execute(seed_batch, execution=PLANNED)  # populate the plan cache
         assert acc.plans.stats()["plans"] == 1
         clone = copy.deepcopy(acc)
         assert clone.plans.stats() == {
@@ -320,8 +332,8 @@ class TestTelemetry:
         journal = SpanJournal()
         activate(Tracer(journal=journal))
         try:
-            acc.execute(seed_batch, use_plan=True)
-            acc.execute(seed_batch, use_plan=True)
+            acc.execute(seed_batch, execution=PLANNED)
+            acc.execute(seed_batch, execution=PLANNED)
         finally:
             deactivate()
         plans = [
@@ -343,8 +355,8 @@ class TestTelemetry:
         journal = SpanJournal()
         activate(Tracer(journal=journal))
         try:
-            acc.execute(seed_batch, use_plan=True)
-            acc.execute(seed_batch, use_plan=True)
+            acc.execute(seed_batch, execution=PLANNED)
+            acc.execute(seed_batch, execution=PLANNED)
         finally:
             deactivate()
         summary = summarize_spans(journal.snapshot())

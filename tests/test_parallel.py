@@ -49,11 +49,12 @@ from repro.serving import (
     ProcessPoolBackend,
     ServingConfig,
 )
+from repro.runtime import ExecutionConfig
 from repro.testing import make_tiny_bnn, randomize_bn_stats
 
 PROTOTYPES = ("cnv", "n-cnv", "u-cnv")
 
-# Same golden capture as test_hw_plan / test_hw_packed_datapath (seed
+# Same golden capture as test_hw_plan / TestGoldenLogits (seed
 # batch below): the pool must not move a logit either.
 GOLDEN_LOGITS = {
     "cnv": [[-54, 28, -8, 26], [-8, 34, 22, 16], [0, -2, -30, 0], [8, 30, -18, 4]],
@@ -323,15 +324,21 @@ class TestPoolBitExact:
         rng = np.random.default_rng(13)
         images = rng.random((6, 8, 8, 3)).astype(np.float32)
         ref = tiny_acc.predict(images)
-        got = tiny_acc.predict(images, mode="process", num_workers=1)
+        got = tiny_acc.predict(
+            images,
+            execution=ExecutionConfig(isolation="process", workers=1),
+        )
         try:
             assert np.array_equal(got, ref)
         finally:
             tiny_acc.close_pool()
 
     def test_predict_rejects_unknown_mode(self, tiny_acc):
-        with pytest.raises(ValueError, match="mode"):
-            tiny_acc.predict(np.zeros((1, 8, 8, 3), np.float32), mode="warp")
+        with pytest.raises(ValueError, match="unknown engine"):
+            tiny_acc.predict(
+                np.zeros((1, 8, 8, 3), np.float32),
+                execution=ExecutionConfig(engine="warp"),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +454,7 @@ class TestServingIntegration:
             bucket_sizes=(4, 8),
         )
         server = InferenceServer.from_accelerator(
-            tiny_acc, config, mode="process"
+            tiny_acc, config, execution=ExecutionConfig(isolation="process")
         )
         rng = np.random.default_rng(31)
         images = rng.random((11, 8, 8, 3)).astype(np.float32)
@@ -475,8 +482,10 @@ class TestServingIntegration:
             ServingConfig(max_batch_size=16, bucket_sizes=(2, 4))
 
     def test_from_accelerator_rejects_unknown_mode(self, tiny_acc):
-        with pytest.raises(ValueError, match="mode"):
-            InferenceServer.from_accelerator(tiny_acc, mode="quantum")
+        with pytest.raises(ValueError, match="unknown engine"):
+            InferenceServer.from_accelerator(
+                tiny_acc, execution=ExecutionConfig(engine="quantum")
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +496,7 @@ class TestPickling:
         ref = tiny_acc.execute(tiny_batch)
         tiny_acc.plans.get(5)  # warm the cache so there is state to drop
         clone = pickle.loads(pickle.dumps(tiny_acc))
-        assert clone._plan_cache is None and clone._process_pool is None
+        assert clone._plan_cache is None and clone._engines == {}
         assert np.array_equal(clone.execute(tiny_batch), ref)
 
 

@@ -1,6 +1,6 @@
-"""The runtime engine registry (PR 10): one config, five engines.
+"""The runtime engine registry: one config, three engines.
 
-Locks the tentpole's contract:
+Locks the contract:
 
 1. :class:`ExecutionConfig` is the single validated value naming an
    inference target — bad enums, non-positive sizes and contradictory
@@ -8,17 +8,13 @@ Locks the tentpole's contract:
 2. the registry's resolution rules map every config to exactly one
    registered engine, and ``engine_table`` declares each engine's
    capability flags;
-3. the legacy ``use_plan=`` / ``mode=`` kwargs survive as deprecation
-   shims: exactly one :class:`DeprecationWarning` per call, identical
-   results to the equivalent ``execution=ExecutionConfig(...)``;
-4. ``ServingConfig.bucket_sizes`` rejects unsorted, duplicate and
+3. ``ServingConfig.bucket_sizes`` rejects unsorted, duplicate and
    non-positive bucket lists eagerly;
-5. ``repro engines`` lists every engine with its flags, in table and
+4. ``repro engines`` lists every engine with its flags, in table and
    JSON form.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +26,6 @@ from repro.runtime import (
     EngineSpec,
     ExecutionConfig,
     create_engine,
-    deprecated_kwargs_config,
     engine_names,
     engine_spec,
     engine_table,
@@ -38,10 +33,10 @@ from repro.runtime import (
     resolve_engine_name,
 )
 from repro.runtime.engines import Engine
-from repro.serving import AcceleratorBackend, ServingConfig
+from repro.serving import ServingConfig
 from repro.testing import make_tiny_bnn, randomize_bn_stats
 
-ENGINES = ("interpreted", "planned-blas", "planned-packed", "threaded", "process")
+ENGINES = ("interpreted", "planned-blas", "process")
 
 
 def build_tiny_accelerator():
@@ -69,14 +64,14 @@ def images():
 class TestExecutionConfig:
     def test_defaults_are_valid_and_frozen(self):
         cfg = ExecutionConfig()
-        assert cfg.use_plan and cfg.isolation == "none"
+        assert cfg.engine is None and cfg.isolation == "none"
         with pytest.raises(AttributeError):
-            cfg.use_plan = False
+            cfg.engine = "interpreted"
         assert hash(cfg) == hash(ExecutionConfig())
 
     @pytest.mark.parametrize("kwargs", [
-        {"lowering": "simd"},
         {"isolation": "fiber"},
+        {"isolation": "thread"},
         {"workers": 0},
         {"workers": -2},
         {"chunk_size": 0},
@@ -88,11 +83,16 @@ class TestExecutionConfig:
         with pytest.raises(ValueError):
             ExecutionConfig(**kwargs)
 
-    def test_rejects_contradictory_process_configs(self):
-        with pytest.raises(ValueError, match="use_plan=False"):
-            ExecutionConfig(isolation="process", use_plan=False)
-        with pytest.raises(ValueError, match="packed_datapath=False"):
-            ExecutionConfig(isolation="process", packed_datapath=False)
+    def test_workers_without_process_isolation_raise(self):
+        with pytest.raises(ValueError, match="isolation='process'"):
+            ExecutionConfig(workers=4)
+        assert ExecutionConfig(isolation="process", workers=4).workers == 4
+
+    def test_has_eight_fields(self):
+        assert list(ExecutionConfig().describe()) == [
+            "engine", "isolation", "workers", "chunk_size", "bucket_sizes",
+            "max_batch", "slots", "trace_sample",
+        ]
 
     def test_bucket_sizes_coerced_to_int_tuple(self):
         cfg = ExecutionConfig(bucket_sizes=[2, 4, 8])
@@ -101,8 +101,8 @@ class TestExecutionConfig:
 
     def test_merged_applies_only_non_none(self):
         cfg = ExecutionConfig(chunk_size=16)
-        merged = cfg.merged(workers=4, chunk_size=None)
-        assert merged.workers == 4 and merged.chunk_size == 16
+        merged = cfg.merged(max_batch=4, chunk_size=None)
+        assert merged.max_batch == 4 and merged.chunk_size == 16
         assert cfg.merged() is cfg
 
     def test_describe_is_json_ready(self):
@@ -115,14 +115,13 @@ class TestExecutionConfig:
 
 
 class TestRegistry:
-    def test_all_five_engines_registered_in_order(self):
+    def test_all_three_engines_registered_in_order(self):
         assert engine_names() == ENGINES
 
     def test_capability_flags(self):
         table = {row["name"]: row["capabilities"] for row in engine_table()}
         assert all(table[name]["bit_exact"] for name in ENGINES)
         assert table["planned-blas"]["zero_alloc"]
-        assert table["planned-packed"]["zero_alloc"]
         assert not table["interpreted"]["zero_alloc"]
         assert table["process"] == {
             "bit_exact": True,
@@ -151,123 +150,26 @@ class TestRegistry:
         ) == "interpreted"
         # 2. process isolation
         assert resolve(ExecutionConfig(isolation="process")) == "process"
-        # 3. thread-parallel chunks
-        assert resolve(ExecutionConfig(workers=4)) == "threaded"
-        assert resolve(ExecutionConfig(workers=1), tiny_acc) != "threaded"
-        # 4. the interpreted reference path
-        assert resolve(ExecutionConfig(use_plan=False)) == "interpreted"
-        assert resolve(ExecutionConfig(packed_datapath=False)) == "interpreted"
-        # 6. planned lowering, resolved against the accelerator
-        assert resolve(ExecutionConfig(), tiny_acc).startswith("planned-")
-        assert resolve(ExecutionConfig(lowering="packed")) == "planned-packed"
-        assert resolve(ExecutionConfig(lowering="blas")) == "planned-blas"
-
-    def test_auto_lowering_needs_an_accelerator(self):
-        with pytest.raises(ValueError, match="auto"):
-            resolve_engine_name(ExecutionConfig())
+        # 3./4. the planner's verdict on the model (assumed plannable
+        # without one)
+        assert resolve(ExecutionConfig(), tiny_acc) == "planned-blas"
+        assert resolve(ExecutionConfig()) == "planned-blas"
 
     def test_create_engine_returns_prepared_protocol_instance(self, tiny_acc):
-        engine = create_engine(tiny_acc, ExecutionConfig(use_plan=False))
+        engine = create_engine(tiny_acc, ExecutionConfig(engine="interpreted"))
         assert isinstance(engine, Engine)
         assert engine.name == "interpreted"
         assert engine.capabilities().bit_exact
         assert engine.stats()["engine"] == "interpreted"
 
-    def test_threaded_engine_requires_workers(self, tiny_acc):
-        with pytest.raises(ValueError, match="workers"):
-            create_engine(tiny_acc, ExecutionConfig(engine="threaded"))
-
     def test_engine_for_caches_per_config(self, tiny_acc):
-        a = tiny_acc.engine_for(ExecutionConfig(use_plan=False))
-        b = tiny_acc.engine_for(ExecutionConfig(use_plan=False))
-        c = tiny_acc.engine_for(ExecutionConfig(lowering="packed"))
+        interpreted = ExecutionConfig(engine="interpreted")
+        a = tiny_acc.engine_for(interpreted)
+        b = tiny_acc.engine_for(ExecutionConfig(engine="interpreted"))
+        c = tiny_acc.engine_for(ExecutionConfig())
         assert a is b and a is not c
         tiny_acc.close_pool()
-        assert tiny_acc.engine_for(ExecutionConfig(use_plan=False)) is not a
-
-
-# -- deprecation shims ------------------------------------------------------
-
-
-class TestDeprecationShims:
-    def test_mapping_helper_emits_one_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cfg = deprecated_kwargs_config(
-                "caller", None, use_plan=False, mode="thread"
-            )
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "caller" in str(deprecations[0].message)
-        assert cfg == ExecutionConfig(use_plan=False, isolation="none")
-
-    def test_mapping_helper_validates_mode_before_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="mode"):
-                deprecated_kwargs_config("caller", None, mode="quantum")
-        assert not [w for w in caught if w.category is DeprecationWarning]
-
-    def test_predict_use_plan_shim(self, tiny_acc, images):
-        reference = tiny_acc.predict(
-            images, execution=ExecutionConfig(use_plan=False)
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = tiny_acc.predict(images, use_plan=False)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "use_plan" in str(deprecations[0].message)
-        np.testing.assert_array_equal(legacy, reference)
-
-    def test_execute_use_plan_shim(self, tiny_acc, images):
-        reference = tiny_acc.run(images, ExecutionConfig())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = tiny_acc.execute(images, use_plan=True)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        np.testing.assert_array_equal(legacy, reference)
-
-    @pytest.mark.parallel
-    def test_predict_mode_process_shim(self, images):
-        acc = build_tiny_accelerator()
-        try:
-            reference = acc.predict(
-                images,
-                execution=ExecutionConfig(isolation="process", workers=1),
-            )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                legacy = acc.predict(images, mode="process", num_workers=1)
-            deprecations = [
-                w for w in caught if w.category is DeprecationWarning
-            ]
-            assert len(deprecations) == 1
-            assert "mode='process'" in str(deprecations[0].message)
-            np.testing.assert_array_equal(legacy, reference)
-        finally:
-            acc.close_pool()
-
-    def test_accelerator_backend_use_plan_shim(self, tiny_acc, images):
-        reference = AcceleratorBackend(
-            tiny_acc, execution=ExecutionConfig(use_plan=False)
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = AcceleratorBackend(tiny_acc, use_plan=False)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "AcceleratorBackend" in str(deprecations[0].message)
-        np.testing.assert_array_equal(
-            legacy.infer(images), reference.infer(images)
-        )
-
-    def test_legacy_validation_messages_survive(self, tiny_acc, images):
-        with pytest.raises(ValueError, match="num_workers"):
-            tiny_acc.predict(images, num_workers=0)
-        with pytest.raises(ValueError, match="mode"):
-            tiny_acc.predict(images, mode="warp")
+        assert tiny_acc.engine_for(interpreted) is not a
 
 
 # -- ServingConfig bucket validation ---------------------------------------
@@ -316,5 +218,5 @@ class TestEnginesCli:
             assert set(row["capabilities"]) == {
                 "bit_exact", "zero_alloc", "zero_copy_ipc", "process_isolated",
             }
-        assert payload["default_config"]["use_plan"] is True
-        assert len(payload["resolution"]) == 6
+        assert payload["default_config"]["engine"] is None
+        assert len(payload["resolution"]) == 4

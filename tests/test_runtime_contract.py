@@ -1,10 +1,11 @@
-"""Cross-engine bit-exactness contract (PR 10, satellite 2).
+"""Cross-engine bit-exactness contract.
 
 Every registered engine must reproduce the interpreted reference
 datapath exactly — logits for every Table I prototype under both input
-dtypes, and ``return_bits`` traces where the engine supports them.
-This is the contract the capability flag ``bit_exact`` declares; a new
-engine registered without passing this file is a registry bug.
+dtypes, and ``return_bits`` traces. This is the contract the
+capability flag ``bit_exact`` declares; a new engine registered without
+passing this file is a registry bug. Every engine also shares one
+input contract: NaN and ±inf pixels raise ``ValueError``.
 
 The process engine rides in the ``parallel`` marker (CI runs it in the
 dedicated multi-core job); the in-process engines run in tier 1.
@@ -24,10 +25,8 @@ PROTOTYPES = ("cnv", "n-cnv", "u-cnv")
 #: buckets for the toy batches below. Kept in sync with the registry by
 #: ``test_every_registered_engine_is_covered``.
 ENGINE_CONFIGS = {
-    "interpreted": ExecutionConfig(use_plan=False),
-    "planned-blas": ExecutionConfig(lowering="blas"),
-    "planned-packed": ExecutionConfig(lowering="packed"),
-    "threaded": ExecutionConfig(workers=2, chunk_size=2),
+    "interpreted": ExecutionConfig(engine="interpreted"),
+    "planned-blas": ExecutionConfig(engine="planned-blas"),
     "process": ExecutionConfig(
         isolation="process", workers=1, bucket_sizes=(4,), max_batch=4
     ),
@@ -76,7 +75,7 @@ def test_engine_matches_interpreted_logits(accelerators, arch, engine_name, dtyp
     np.testing.assert_array_equal(engine.run(images), golden)
 
 
-@pytest.mark.parametrize("engine_name", ["planned-blas", "planned-packed"])
+@pytest.mark.parametrize("engine_name", ["planned-blas"])
 @pytest.mark.parametrize("arch", PROTOTYPES)
 def test_planned_return_bits_match_interpreted(accelerators, arch, engine_name):
     acc = accelerators[arch]
@@ -90,12 +89,22 @@ def test_planned_return_bits_match_interpreted(accelerators, arch, engine_name):
         np.testing.assert_array_equal(got, ref)
 
 
-def test_threaded_engine_refuses_return_bits(accelerators):
-    engine = create_engine(
-        accelerators["n-cnv"], ENGINE_CONFIGS["threaded"]
-    )
-    with pytest.raises(ValueError, match="return_bits"):
-        engine.run(seed_batch("f32"), return_bits=True)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("engine_name", [
+    pytest.param(name, marks=pytest.mark.parallel) if name == "process"
+    else name
+    for name in ENGINE_CONFIGS
+])
+def test_engine_rejects_non_finite_pixels(accelerators, engine_name, bad):
+    acc = accelerators["u-cnv"]
+    images = seed_batch("f32")
+    images[1, 3, 5, 0] = bad
+    engine = acc.engine_for(ENGINE_CONFIGS[engine_name])
+    try:
+        with pytest.raises(ValueError, match="finite"):
+            engine.run(images)
+    finally:
+        acc.close_pool()
 
 
 @pytest.mark.parallel

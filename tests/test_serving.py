@@ -34,6 +34,7 @@ from repro.serving import (
 )
 from repro.core.architectures import table1_folding
 from repro.hw.compiler import FoldingConfig, compile_model
+from repro.runtime import ExecutionConfig
 from repro.testing import grid_images, make_tiny_bnn, randomize_bn_stats
 from repro.utils.clock import FakeClock
 from repro.utils.profiling import Stopwatch
@@ -233,7 +234,7 @@ class TestBackends:
             ClassifierBackend(object())
 
     def test_backends_with_num_workers_match_serial(
-        self, trained_tiny_classifier, tiny_bnn
+        self, trained_tiny_classifier
     ):
         images = grid_images(9, hw=32)
         serial = ClassifierBackend(trained_tiny_classifier, chunk_size=3)
@@ -241,15 +242,6 @@ class TestBackends:
             trained_tiny_classifier, chunk_size=3, num_workers=4
         )
         np.testing.assert_array_equal(parallel.infer(images), serial.infer(images))
-
-        folding = FoldingConfig(pe=(1, 1, 1, 1), simd=(1, 1, 1, 1))
-        acc = compile_model(tiny_bnn, folding)
-        small = grid_images(9, hw=8)
-        serial_acc = AcceleratorBackend(acc, chunk_size=3)
-        parallel_acc = AcceleratorBackend(acc, chunk_size=3, num_workers=4)
-        np.testing.assert_array_equal(
-            parallel_acc.infer(small), serial_acc.infer(small)
-        )
 
     def test_backends_reject_invalid_num_workers(self, trained_tiny_classifier):
         with pytest.raises(ValueError, match="num_workers"):
@@ -571,6 +563,29 @@ class TestEndToEnd:
             offered.append(result.offered)
             assert result.completed == result.offered
         assert offered[0] == offered[1]  # arrival process is seed-determined
+
+    def test_nan_request_rejected_without_failing_batch_mates(self, tiny_bnn):
+        acc = compile_model(tiny_bnn, FoldingConfig(pe=(1,) * 4, simd=(1,) * 4))
+        images = grid_images(6, hw=8)
+        bad = images[2].copy()
+        bad[1, 1, 0] = np.nan
+        expected = acc.predict(
+            images, execution=ExecutionConfig(engine="interpreted")
+        )
+        config = ServingConfig(
+            max_batch_size=8, max_wait_ms=50.0, queue_capacity=16, num_workers=1
+        )
+        with InferenceServer.from_accelerator(acc, config) as server:
+            good = [server.submit(img) for img in images[:3]]
+            nan_handle = server.submit(bad)
+            good += [server.submit(img) for img in images[3:]]
+            labels = [h.result(timeout=60.0) for h in good]
+        assert nan_handle.status is RequestStatus.REJECTED
+        assert "invalid_input" in nan_handle.detail
+        np.testing.assert_array_equal(labels, expected)
+        stats = server.stats()
+        assert stats.rejected == 1 and stats.failed == 0
+        assert stats.completed == len(images)
 
     def test_accelerator_fallback_server_builds(self, trained_tiny_classifier):
         config = ServingConfig(
