@@ -30,6 +30,13 @@ from repro.core.architectures import build_architecture, table1_folding
 from repro.hw.bitpack import pack_bits, unpack_bits
 from repro.hw.compiler import FinnAccelerator, compile_model
 from repro.hw.xnor_kernels import xnor_matmul_popcount
+from repro.telemetry import (
+    SpanJournal,
+    Tracer,
+    activate,
+    deactivate,
+    summarize_spans,
+)
 from repro.testing import randomize_bn_stats
 
 __all__ = [
@@ -154,13 +161,22 @@ def _bench_gemm(
 def _bench_accelerator(
     accelerator: FinnAccelerator, images: np.ndarray, repeats: int
 ) -> Tuple[List[Dict], Dict]:
-    """(per-stage timings, end-to-end summary) for one compiled design."""
+    """(per-stage timings, end-to-end summary) for one compiled design.
+
+    The stage timings are the ``hw_stage`` spans of one fully traced
+    call, so they come from the same clock as ``repro trace``.
+    """
     n = images.shape[0]
     e2e_s = _best_seconds(lambda: accelerator.execute(images), repeats)
-    stage_seconds: List[Tuple[str, float]] = []
-    accelerator.execute(images, stage_seconds=stage_seconds)
+    journal = SpanJournal()
+    activate(Tracer(sample_every=1, journal=journal))
+    try:
+        accelerator.execute(images)
+    finally:
+        deactivate()
     stages = [
-        {"name": name, "seconds": seconds} for name, seconds in stage_seconds
+        {"name": row.name, "seconds": row.total_s}
+        for row in summarize_spans(journal.snapshot()).hw_stages
     ]
     e2e = {"images": n, "seconds": e2e_s, "fps": n / e2e_s}
     return stages, e2e
@@ -267,8 +283,6 @@ def _bench_telemetry(
     ``sampled`` and ``full`` then quantify what turning tracing on buys
     you into.
     """
-    from repro.telemetry import SpanJournal, Tracer, activate, deactivate
-
     n = images.shape[0]
     # One mode run is a single ~tens-of-ms execute; a couple of repeats
     # is pure noise at the 2-5% resolution this section pins down.

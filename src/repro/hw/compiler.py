@@ -19,7 +19,6 @@ everything downstream is 1-bit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -31,7 +30,6 @@ from repro.hw.maxpool_unit import MaxPoolUnit, MaxPoolUnitConfig
 from repro.hw.mvtu import MVTU, MVTUConfig
 from repro.hw.swu import SlidingWindowUnit, SWUConfig
 from repro.hw.thresholding import fold_batchnorm_sign, fold_popcount_domain
-from repro.telemetry.tracing import get_tracer
 from repro.nn.binary_ops import sign
 from repro.nn.layers import (
     BatchNorm,
@@ -320,7 +318,6 @@ class FinnAccelerator:
         execution=None,
         *,
         return_bits: bool = False,
-        stage_seconds: Optional[list] = None,
     ):
         """Integer logits via the engine resolved for ``execution``.
 
@@ -329,9 +326,7 @@ class FinnAccelerator:
         single-process inference). ``execute``/``predict`` are thin
         wrappers over this.
         """
-        return self.engine_for(execution).run(
-            images, return_bits=return_bits, stage_seconds=stage_seconds
-        )
+        return self.engine_for(execution).run(images, return_bits=return_bits)
 
     # -- functional ---------------------------------------------------------
     @staticmethod
@@ -352,7 +347,6 @@ class FinnAccelerator:
         images: np.ndarray,
         return_bits: bool = False,
         chunk_size: Optional[int] = None,
-        stage_seconds: Optional[list] = None,
         execution=None,
     ):
         """Run the integer datapath; returns integer logits ``(N, classes)``.
@@ -372,21 +366,23 @@ class FinnAccelerator:
             images,
             execution.merged(chunk_size=chunk_size),
             return_bits=return_bits,
-            stage_seconds=stage_seconds,
         )
 
     def _run_interpreted(
         self,
         images: np.ndarray,
         return_bits: bool = False,
-        stage_seconds: Optional[list] = None,
+        tracer=None,
+        parent=None,
     ):
         """The stage-by-stage reference datapath, one unchunked batch.
 
         This is the golden semantics every engine is held to; only the
         runtime engines call it. Activations travel between stages as
         boolean maps and are bit-packed only to feed each binary MVTU's
-        XNOR/popcount GEMM.
+        XNOR/popcount GEMM. ``tracer``/``parent`` record per-stage
+        ``hw_stage`` spans exactly like
+        :meth:`~repro.hw.plan.ExecutionPlan.execute`.
         """
         images = np.asarray(images)
         if images.ndim == 3:
@@ -403,27 +399,10 @@ class FinnAccelerator:
             # than a crash deep in quantisation.
             logits = np.zeros((0, self.num_classes), dtype=np.int64)
             return (logits, []) if return_bits else logits
-        tracer = get_tracer()
-        trace_stages = tracer.enabled
-        own_span = None
-        if trace_stages:
-            span_parent = tracer.current_span()
-            if span_parent is None:
-                # Standalone use (no runtime span active): open one root
-                # so the stage spans still form a connected tree.
-                own_span = tracer.start_span(
-                    "hw.execute",
-                    kind="hw",
-                    parent=None,
-                    attributes={"accelerator": self.name, "images": n},
-                )
-                span_parent = own_span
-            trace_stages = span_parent.recording
         current = self.quantize_input(images)
         bits_trace = []
         for stage in self.stages:
-            stage_t0 = tracer.clock.monotonic() if trace_stages else 0.0
-            stage_start = time.perf_counter() if stage_seconds is not None else 0.0
+            stage_t0 = tracer.clock.monotonic() if tracer is not None else 0.0
             cfg = stage.mvtu.config
             if stage.kind == "conv":
                 rows = stage.swu.execute(current)
@@ -435,11 +414,7 @@ class FinnAccelerator:
                     current = stage.pool.execute(current)
             else:  # fc
                 current = stage.mvtu.execute(pack_bits(current.reshape(n, -1)))
-            if stage_seconds is not None:
-                stage_seconds.append(
-                    (stage.name, time.perf_counter() - stage_start)
-                )
-            if trace_stages:
+            if tracer is not None:
                 # The ``cycles`` attribute carries the stage's modelled
                 # initiation interval, so trace analysis can rank stages
                 # the way the board would (analyze_pipeline's argmax),
@@ -449,15 +424,13 @@ class FinnAccelerator:
                     kind="hw_stage",
                     start_s=stage_t0,
                     end_s=tracer.clock.monotonic(),
-                    parent=span_parent,
+                    parent=parent,
                     attributes={
                         "cycles": stage.initiation_interval(), "images": n
                     },
                 )
             if return_bits:
                 bits_trace.append(current)
-        if own_span is not None:
-            own_span.finish()
         logits = current
         if logits.shape != (n, self.num_classes):
             raise RuntimeError(

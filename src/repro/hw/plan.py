@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import gc
 import threading
-import time
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -456,7 +455,6 @@ class ExecutionPlan:
         return_bits: bool = False,
         tracer=None,
         parent=None,
-        stage_seconds: Optional[list] = None,
     ):
         """Run the planned datapath on one fixed-geometry batch.
 
@@ -487,10 +485,7 @@ class ExecutionPlan:
         bits_trace = [] if return_bits else None
         for st in self._stages:
             t0 = tracer.clock.monotonic() if tracer is not None else 0.0
-            wall0 = time.perf_counter() if stage_seconds is not None else 0.0
             st.run()
-            if stage_seconds is not None:
-                stage_seconds.append((st.name, time.perf_counter() - wall0))
             if tracer is not None:
                 tracer.record(
                     f"hw.{st.name}",

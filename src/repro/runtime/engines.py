@@ -23,6 +23,7 @@ every registered engine to that, ``return_bits`` traces included.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -54,8 +55,7 @@ class Engine(Protocol):
         accelerator is bound yet, validate, and return self."""
         ...
 
-    def run(self, batch, *, return_bits: bool = False,
-            stage_seconds=None) -> np.ndarray:
+    def run(self, batch, *, return_bits: bool = False) -> np.ndarray:
         """Integer logits ``(N, classes)`` (plus per-stage bit traces
         with ``return_bits``) for a stacked image batch."""
         ...
@@ -146,27 +146,25 @@ class InterpretedEngine(_BaseEngine):
 
     name = "interpreted"
 
-    def run(self, batch, *, return_bits: bool = False, stage_seconds=None):
+    def run(self, batch, *, return_bits: bool = False):
         batch = _normalize(batch)
         chunk = self.config.chunk_size
         if chunk is not None and return_bits:
             raise ValueError("chunk_size cannot be combined with return_bits")
         tracer = get_tracer()
-        with self._span(tracer, batch.shape[0]):
+        with self._span(tracer, batch.shape[0]) as span:
+            run = partial(
+                self.accelerator._run_interpreted,
+                tracer=tracer if span.recording else None,
+                parent=span,
+            )
             if chunk is not None and batch.shape[0] > chunk:
                 parts = [
-                    self.accelerator._run_interpreted(
-                        batch[start : start + chunk],
-                        stage_seconds=stage_seconds,
-                    )
+                    run(batch[start : start + chunk])
                     for start in range(0, batch.shape[0], chunk)
                 ]
                 return np.concatenate(parts)
-            return self.accelerator._run_interpreted(
-                batch,
-                return_bits=return_bits,
-                stage_seconds=stage_seconds,
-            )
+            return run(batch, return_bits=return_bits)
 
 
 class PlannedEngine(_BaseEngine):
@@ -195,23 +193,24 @@ class PlannedEngine(_BaseEngine):
             **self.accelerator.plans.stats(),
         }
 
-    def run(self, batch, *, return_bits: bool = False, stage_seconds=None):
+    def run(self, batch, *, return_bits: bool = False):
         batch = _normalize(batch)
         n = batch.shape[0]
         chunk = self.config.chunk_size
         if chunk is not None and return_bits:
             raise ValueError("chunk_size cannot be combined with return_bits")
         tracer = get_tracer()
-        with self._span(tracer, n):
+        with self._span(tracer, n) as span:
             if chunk is not None and n > chunk:
                 parts = [
-                    self._run_one(batch[start : start + chunk], False, None)
+                    self._run_one(batch[start : start + chunk], False,
+                                  tracer, span)
                     for start in range(0, n, chunk)
                 ]
                 return np.concatenate(parts)
-            return self._run_one(batch, return_bits, stage_seconds)
+            return self._run_one(batch, return_bits, tracer, span)
 
-    def _run_one(self, batch, return_bits, stage_seconds):
+    def _run_one(self, batch, return_bits, tracer, span):
         acc = self.accelerator
         n = batch.shape[0]
         if batch.shape[1:] != acc.input_shape:
@@ -223,16 +222,13 @@ class PlannedEngine(_BaseEngine):
             logits = np.zeros((0, acc.num_classes), dtype=np.int64)
             return (logits, []) if return_bits else logits
         plan, cache_hit = acc.plans.get(n)
-        tracer = get_tracer()
-        parent = tracer.current_span() if tracer.enabled else None
-        recording = parent is not None and parent.recording
         plan_span = None
-        if recording:
+        if span.recording:
             stats = acc.plans.stats()
             plan_span = tracer.start_span(
                 "hw.plan",
                 kind="hw_plan",
-                parent=parent,
+                parent=span,
                 attributes={
                     "accelerator": acc.name,
                     "images": n,
@@ -247,9 +243,8 @@ class PlannedEngine(_BaseEngine):
             return plan.execute(
                 batch,
                 return_bits=return_bits,
-                tracer=tracer if recording else None,
+                tracer=tracer if span.recording else None,
                 parent=plan_span,
-                stage_seconds=stage_seconds,
             )
         finally:
             if plan_span is not None:
@@ -298,12 +293,7 @@ class ProcessEngine(_BaseEngine):
             self._pool.close()
             self._pool = None
 
-    def run(self, batch, *, return_bits: bool = False, stage_seconds=None):
-        if stage_seconds is not None:
-            raise ValueError(
-                "per-stage timing is not collected across process "
-                "boundaries; use a single-process engine"
-            )
+    def run(self, batch, *, return_bits: bool = False):
         batch = _normalize(batch)
         tracer = get_tracer()
         with self._span(tracer, batch.shape[0]):

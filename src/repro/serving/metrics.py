@@ -1,8 +1,8 @@
 """Serving metrics: QPS, latency percentiles, batch histogram, counters.
 
 One :class:`MetricsRegistry` is shared by every worker thread (all
-mutation is lock-guarded; per-section wall time additionally flows into
-a shared thread-safe :class:`~repro.utils.profiling.Stopwatch`).
+mutation, including the per-section wall-time totals, is guarded by its
+one lock, and all time comes from its one injected clock).
 ``snapshot()`` produces an immutable :class:`ServerStats` — the object
 ``InferenceServer.stats()`` returns — and :class:`StatsReporter` prints
 one periodically from a daemon thread.
@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, Optional
 
 import numpy as np
 
 from repro.utils.clock import MONOTONIC, Clock
-from repro.utils.profiling import Stopwatch
 
 __all__ = ["MetricsRegistry", "ServerStats", "StatsReporter"]
 
@@ -40,7 +40,7 @@ class ServerStats:
     latency_ms: Dict[str, float]  # p50/p95/p99/mean over the window
     queue_wait_ms: Dict[str, float]
     batch_histogram: Dict[int, int]  # executed batch size -> count
-    section_totals_s: Dict[str, float]  # Stopwatch section -> total seconds
+    section_totals_s: Dict[str, float]  # timed section -> total seconds
 
     @property
     def submitted(self) -> int:
@@ -155,16 +155,15 @@ class MetricsRegistry:
 
     def __init__(
         self,
-        stopwatch: Optional[Stopwatch] = None,
         window: int = 4096,
         clock: Clock = MONOTONIC,
     ) -> None:
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        self.stopwatch = stopwatch or Stopwatch()
         self.clock = clock
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
+        self._section_totals: Dict[str, float] = {}  # seconds
         self._latencies: deque = deque(maxlen=window)  # seconds
         self._waits: deque = deque(maxlen=window)  # seconds
         self._completion_marks: deque = deque(maxlen=window)  # monotonic stamps
@@ -176,6 +175,25 @@ class MetricsRegistry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
 
+    def _add_section(self, name: str, seconds: float) -> None:
+        # Caller holds self._lock.
+        self._section_totals[name] = self._section_totals.get(name, 0.0) + seconds
+
+    @contextmanager
+    def section(self, name: str) -> Iterator[None]:
+        """Add the wall time of a ``with`` block to section ``name``.
+
+        The lock is held only for the bookkeeping, never across the
+        timed body, so concurrent sections run in parallel.
+        """
+        start = self.clock.monotonic()
+        try:
+            yield
+        finally:
+            elapsed = self.clock.monotonic() - start
+            with self._lock:
+                self._add_section(name, elapsed)
+
     def observe_completion(self, latency_s: float) -> None:
         """A request completed end-to-end in ``latency_s`` seconds."""
         now = self.clock.monotonic()
@@ -183,12 +201,12 @@ class MetricsRegistry:
             self._counters["completed"] = self._counters.get("completed", 0) + 1
             self._latencies.append(latency_s)
             self._completion_marks.append(now)
-        self.stopwatch.add("request.latency", latency_s)
+            self._add_section("request.latency", latency_s)
 
     def observe_queue_wait(self, wait_s: float) -> None:
         with self._lock:
             self._waits.append(wait_s)
-        self.stopwatch.add("request.queue_wait", wait_s)
+            self._add_section("request.queue_wait", wait_s)
 
     def observe_batch(self, size: int) -> None:
         """A micro-batch of ``size`` requests was executed."""
@@ -208,6 +226,7 @@ class MetricsRegistry:
             waits = list(self._waits)
             marks = list(self._completion_marks)
             histogram = dict(self._batch_histogram)
+            section_totals = dict(self._section_totals)
             uptime = now - self._started_at
         if len(marks) >= 2 and marks[-1] > marks[0]:
             qps = (len(marks) - 1) / (marks[-1] - marks[0])
@@ -215,7 +234,6 @@ class MetricsRegistry:
             qps = len(marks) / uptime
         else:
             qps = 0.0
-        section_totals, _ = self.stopwatch.snapshot()
         return ServerStats(
             uptime_s=uptime,
             queue_depth=int(queue_depth),

@@ -50,7 +50,7 @@ class RejectionReason(enum.Enum):
 
     QUEUE_FULL = "queue_full"
     SHUTTING_DOWN = "shutting_down"
-    INVALID_INPUT = "invalid_input"  # non-finite pixels: would fail its batch
+    INVALID_INPUT = "invalid_input"  # not a servable tile: would fail its batch
 
 
 class ServingError(RuntimeError):
@@ -107,10 +107,6 @@ class InferenceRequest:
         timeout_s: Optional[float] = None,
         now: Optional[float] = None,
     ) -> None:
-        if image.ndim != 3:
-            raise ValueError(
-                f"a request carries one (H, W, C) image, got shape {image.shape}"
-            )
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
         now = time.monotonic() if now is None else now

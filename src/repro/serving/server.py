@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.hw.compiler import check_input_range
 from repro.serving.admission import AdmissionQueue
 from repro.serving.backends import (
     AcceleratorBackend,
@@ -50,6 +51,22 @@ from repro.telemetry.health import (
 from repro.telemetry.tracing import get_tracer
 
 __all__ = ["ServingConfig", "InferenceServer"]
+
+
+def _servable(image: np.ndarray) -> bool:
+    """Whether admission may queue ``image``.
+
+    A batch stacks only ``(H, W, C)`` tiles, and every engine rejects
+    pixels outside the input domain (:func:`check_input_range`), so
+    admitting either would fail every request batched with it.
+    """
+    if image.ndim != 3:
+        return False
+    try:
+        check_input_range(image)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -285,11 +302,12 @@ class InferenceServer:
         Backpressure is explicit: the returned handle is already
         resolved as REJECTED (with a reason in ``handle.detail``) when
         admission control refuses it — inspect ``handle.status`` or let
-        ``handle.result()`` raise. A float image with NaN or inf pixels
-        is refused the same way (``invalid_input``): every engine
-        rejects such a batch, so admitting it would fail the requests
-        coalesced with it. ``priority`` orders service (higher
-        first) and governs shedding under overload; ``timeout_s``
+        ``handle.result()`` raise. An image that is not one ``(H, W, C)``
+        tile, or whose pixels fall outside the input domain (NaN, inf,
+        a float outside ``[0, 1]``, an integer outside ``[0, 255]``), is
+        refused the same way (``invalid_input``): admitting it would
+        fail the requests coalesced with it. ``priority`` orders service
+        (higher first) and governs shedding under overload; ``timeout_s``
         (default: config's ``default_timeout_s``) is the per-request
         deadline after which a queued request is dropped as TIMED_OUT.
         """
@@ -314,7 +332,7 @@ class InferenceServer:
                 },
             )
         self.metrics.increment("submitted")
-        if image.dtype.kind == "f" and not np.isfinite(image).all():
+        if not _servable(image):
             reason = RejectionReason.INVALID_INPUT
         else:
             admission = self._queue.offer(request)

@@ -9,7 +9,8 @@ backends derive from their Table I folding.
 
 Every request the pool touches leaves in a terminal state: COMPLETED
 with a label, TIMED_OUT if its deadline fired in the queue, or FAILED
-carrying the last backend error if every backend raised.
+carrying the error if its batch could not be stacked or every backend
+raised. A failing batch never ends the worker thread.
 """
 
 from __future__ import annotations
@@ -130,17 +131,21 @@ class WorkerPool:
                 now_batch.append(request)
         if not now_batch:
             return
-        images = np.stack([r.image for r in now_batch])
-        bucket = self.batcher.bucket_for(len(now_batch))
-        if bucket is not None and bucket > len(now_batch):
-            # Pad up to the bucket geometry so shape-keyed backends (the
-            # plan caches) see a fixed set of batch shapes; the pad rows'
-            # labels are sliced off below.
-            pad = np.zeros(
-                (bucket - len(now_batch),) + images.shape[1:], images.dtype
-            )
-            images = np.concatenate([images, pad])
-            self.metrics.increment("padded_images", bucket - len(now_batch))
+        try:
+            images = np.stack([r.image for r in now_batch])
+            bucket = self.batcher.bucket_for(len(now_batch))
+            if bucket is not None and bucket > len(now_batch):
+                # Pad up to the bucket geometry so shape-keyed backends
+                # (the plan caches) see a fixed set of batch shapes; the
+                # pad rows' labels are sliced off below.
+                pad = np.zeros(
+                    (bucket - len(now_batch),) + images.shape[1:], images.dtype
+                )
+                images = np.concatenate([images, pad])
+                self.metrics.increment("padded_images", bucket - len(now_batch))
+        except Exception as exc:  # noqa: BLE001 — e.g. tiles of mixed shapes
+            self._fail(now_batch, exc, f"batch cannot be stacked: {exc}")
+            return
         self.metrics.observe_batch(len(now_batch))
 
         # The batch span parents under the first traced request and
@@ -182,7 +187,7 @@ class WorkerPool:
                 try:
                     # The backend span is *current* for the infer call, so
                     # datapath-internal spans (per-hw-stage) nest under it.
-                    with self.metrics.stopwatch.section(
+                    with self.metrics.section(
                         f"infer.{backend.name}"
                     ), tracer.span(
                         "serving.infer",
@@ -210,17 +215,23 @@ class WorkerPool:
                 batch_span.set_attribute("backend", backend.name)
                 self._complete(now_batch, labels, backend.name)
                 return
-            for request in now_batch:
-                if request.resolve(
-                    RequestStatus.FAILED,
-                    error=last_error,
-                    detail=(
-                        f"all backends failed ({', '.join(tried)}): {last_error}"
-                    ),
-                ):
-                    self.metrics.increment("failed")
+            self._fail(
+                now_batch,
+                last_error,
+                f"all backends failed ({', '.join(tried)}): {last_error}",
+            )
         finally:
             batch_span.finish()
+
+    def _fail(
+        self,
+        batch: List[InferenceRequest],
+        error: Optional[BaseException],
+        detail: str,
+    ) -> None:
+        for request in batch:
+            if request.resolve(RequestStatus.FAILED, error=error, detail=detail):
+                self.metrics.increment("failed")
 
     def _complete(
         self, batch: List[InferenceRequest], labels: np.ndarray, backend_name: str

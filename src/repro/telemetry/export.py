@@ -5,7 +5,7 @@ collected document:
 
 * the serving layer's :class:`~repro.serving.metrics.ServerStats`
   snapshot (counters, queue depth, QPS, latency percentiles, batch
-  histogram, stopwatch sections), and
+  histogram, timed-section totals), and
 * trace-derived duration statistics aggregated from a
   :class:`~repro.telemetry.journal.SpanJournal` (per span name/kind).
 

@@ -1,8 +1,7 @@
-"""Shared utilities: RNG plumbing, imaging, profiling, clocks, tables."""
+"""Shared utilities: RNG plumbing, imaging, clocks, tables."""
 
 from repro.utils.clock import MONOTONIC, Clock, FakeClock, MonotonicClock
 from repro.utils.rng import RngLike, as_generator, derive, spawn
-from repro.utils.profiling import OpCounter, Stopwatch, timed
 from repro.utils.tables import render_matrix, render_table
 
 __all__ = [
@@ -14,9 +13,6 @@ __all__ = [
     "MonotonicClock",
     "FakeClock",
     "MONOTONIC",
-    "OpCounter",
-    "Stopwatch",
-    "timed",
     "render_matrix",
     "render_table",
 ]

@@ -159,3 +159,10 @@ class TestBenchCLI:
         assert "pack_bits" in run["kernels"]
         assert "xnor_gemm" in run["kernels"]
         assert run["e2e"]["u-cnv"]["fps"] > 0
+        # The stage table comes from the hw_stage spans of one traced
+        # call: every stage once, in pipeline order.
+        model = build_architecture("u-cnv", rng=0)
+        acc = compile_model(model, table1_folding("u-cnv"))
+        stages = run["stages"]["u-cnv"]
+        assert [s["name"] for s in stages] == [st.name for st in acc.stages]
+        assert all(s["seconds"] >= 0 for s in stages)

@@ -26,18 +26,18 @@ from repro.serving import (
     RejectionReason,
     RequestNotCompleted,
     RequestStatus,
+    ResultHandle,
     ServingConfig,
     WorkerPool,
     face_tile_pool,
     folding_concurrency,
     run_open_loop,
 )
-from repro.core.architectures import table1_folding
+from repro.core.architectures import build_architecture, table1_folding
 from repro.hw.compiler import FoldingConfig, compile_model
 from repro.runtime import ExecutionConfig
 from repro.testing import grid_images, make_tiny_bnn, randomize_bn_stats
-from repro.utils.clock import FakeClock
-from repro.utils.profiling import Stopwatch
+from repro.utils.clock import Clock, FakeClock
 
 pytestmark = pytest.mark.serving
 
@@ -451,9 +451,15 @@ class TestWorkerPoolAndServer:
         assert "shutting_down" in handle.detail
 
     def test_invalid_image_raises_eagerly(self):
+        # A 2-D tile is refused at submit, before any worker runs: the
+        # handle comes back already resolved and result() raises at once.
         server = InferenceServer([StubBackend()])
-        with pytest.raises(ValueError, match="one \\(H, W, C\\) image"):
-            server.submit(np.zeros((4, 4), dtype=np.float32))
+        handle = server.submit(np.zeros((4, 4), dtype=np.float32))
+        assert handle.status is RequestStatus.REJECTED
+        assert "invalid_input" in handle.detail
+        with pytest.raises(RequestNotCompleted, match="invalid_input"):
+            handle.result(timeout=0.0)
+        assert server.stats().rejected == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_batch_size"):
@@ -465,39 +471,99 @@ class TestWorkerPoolAndServer:
 
 
 # ---------------------------------------------------------------------------
-# thread-safety of the shared Stopwatch (serving metrics share one)
+# the metrics registry's section totals (one lock, one injected clock)
 # ---------------------------------------------------------------------------
-class TestStopwatchThreadSafety:
+class PerThreadTicks(Clock):
+    """Each thread reads its own clock, advancing 1 s per reading — so a
+    ``section`` whose body never reads the clock lasts exactly 1 s no
+    matter how threads interleave."""
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+
+    def monotonic(self) -> float:
+        self._local.now = getattr(self._local, "now", 0.0) + 1.0
+        return self._local.now
+
+    def sleep(self, seconds: float) -> None:
+        pass
+
+
+class ClockAdvancingBackend(StubBackend):
+    """Stub whose inference takes exactly ``step_s`` of a fake clock."""
+
+    def __init__(self, clock: FakeClock, step_s: float) -> None:
+        super().__init__(name="ticking", max_concurrency=1)
+        self.clock = clock
+        self.step_s = step_s
+
+    def infer(self, images):
+        self.clock.advance(self.step_s)
+        return super().infer(images)
+
+
+class TestRegistrySections:
     def test_concurrent_sections_lose_no_counts(self):
-        sw = Stopwatch()
+        registry = MetricsRegistry(clock=PerThreadTicks())
         n_threads, n_iter = 8, 200
 
         def hammer():
             for _ in range(n_iter):
-                with sw.section("shared"):
+                with registry.section("shared"):
                     pass
-                sw.add("manual", 0.001)
+                registry.observe_completion(0.5)
+                registry.observe_queue_wait(0.25)
 
         threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert sw.counts["shared"] == n_threads * n_iter
-        assert sw.counts["manual"] == n_threads * n_iter
-        assert sw.totals["manual"] == pytest.approx(n_threads * n_iter * 0.001)
-
-    def test_add_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Stopwatch().add("x", -1.0)
+        stats = registry.snapshot()
+        total = n_threads * n_iter
+        assert stats.completed == total
+        # Halves and quarters sum exactly in binary floating point.
+        assert stats.section_totals_s == {
+            "shared": float(total),
+            "request.latency": 0.5 * total,
+            "request.queue_wait": 0.25 * total,
+        }
 
     def test_snapshot_is_a_copy(self):
-        sw = Stopwatch()
-        sw.add("a", 1.0)
-        totals, counts = sw.snapshot()
-        totals["a"] = 99.0
-        assert sw.totals["a"] == 1.0
-        assert counts == {"a": 1}
+        registry = MetricsRegistry(clock=FakeClock())
+        registry.observe_queue_wait(1.0)
+        registry.snapshot().section_totals_s["request.queue_wait"] = 99.0
+        assert registry.snapshot().section_totals_s == {
+            "request.queue_wait": 1.0
+        }
+
+    def test_worker_times_inference_on_the_registry_clock(self):
+        clock = FakeClock()
+        registry = MetricsRegistry(clock=clock)
+        backend = ClockAdvancingBackend(clock, step_s=0.25)
+        queue = AdmissionQueue(capacity=8)
+        batcher = MicroBatcher(queue, max_batch_size=1, max_wait_ms=0.0)
+        pool = WorkerPool(batcher, [backend], registry, num_workers=1)
+        requests = [make_request(0.1 * i) for i in range(3)]
+        for request in requests:
+            queue.offer(request)
+        pool.start()
+        try:
+            statuses = [ResultHandle(r).wait(timeout=10.0) for r in requests]
+        finally:
+            pool.stop()
+        assert statuses == [RequestStatus.COMPLETED] * 3
+        totals = registry.snapshot().section_totals_s
+        assert totals["infer.ticking"] == 3 * 0.25
+
+    def test_served_request_leaves_all_section_families(self):
+        server, handles, statuses = serve_with([StubBackend()], n=4)
+        assert statuses == [RequestStatus.COMPLETED] * 4
+        totals = server.stats().section_totals_s
+        assert set(totals) == {
+            "infer.stub", "request.latency", "request.queue_wait"
+        }
+        assert all(seconds >= 0.0 for seconds in totals.values())
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +633,13 @@ class TestEndToEnd:
     def test_nan_request_rejected_without_failing_batch_mates(self, tiny_bnn):
         acc = compile_model(tiny_bnn, FoldingConfig(pe=(1,) * 4, simd=(1,) * 4))
         images = grid_images(6, hw=8)
-        bad = images[2].copy()
-        bad[1, 1, 0] = np.nan
+        nan = images[2].copy()
+        nan[1, 1, 0] = np.nan
+        too_bright = np.full_like(images[2], 3.0)  # float outside [0, 1]
+        int_300 = np.rint(images[2] * 255).astype(np.int64)
+        int_300[0, 0, 0] = 300  # integer outside [0, 255]
+        flat = images[2][..., 0]  # 2-D: not one (H, W, C) tile
+        invalid = [nan, too_bright, int_300, flat]
         expected = acc.predict(
             images, execution=ExecutionConfig(engine="interpreted")
         )
@@ -577,15 +648,42 @@ class TestEndToEnd:
         )
         with InferenceServer.from_accelerator(acc, config) as server:
             good = [server.submit(img) for img in images[:3]]
-            nan_handle = server.submit(bad)
+            rejected = [server.submit(img) for img in invalid]
             good += [server.submit(img) for img in images[3:]]
             labels = [h.result(timeout=60.0) for h in good]
-        assert nan_handle.status is RequestStatus.REJECTED
-        assert "invalid_input" in nan_handle.detail
+        for handle in rejected:
+            assert handle.status is RequestStatus.REJECTED
+            assert "invalid_input" in handle.detail
         np.testing.assert_array_equal(labels, expected)
         stats = server.stats()
-        assert stats.rejected == 1 and stats.failed == 0
+        assert stats.rejected == len(invalid) and stats.failed == 0
         assert stats.completed == len(images)
+
+    def test_unstackable_batch_fails_without_killing_its_worker(self):
+        model = build_architecture("u-cnv", rng=0)
+        randomize_bn_stats(model, seed=1)
+        model.eval()
+        acc = compile_model(model, table1_folding("u-cnv"), name="u-cnv")
+        tiles = grid_images(8, hw=32)
+        small = grid_images(1, hw=16)[0]  # stacks with no 32x32 tile
+        config = ServingConfig(
+            max_batch_size=8, max_wait_ms=50.0, queue_capacity=16, num_workers=2
+        )
+        with InferenceServer.from_accelerator(acc, config) as server:
+            handles = [server.submit(t) for t in tiles[:3]]
+            handles.append(server.submit(small))
+            handles += [server.submit(t) for t in tiles[3:6]]
+            statuses = [h.wait(timeout=60.0) for h in handles]
+            assert all(status.terminal for status in statuses)
+            assert RequestStatus.FAILED in statuses
+            workers = next(
+                p for p in server.health().probes if p.name == "workers"
+            )
+            assert workers.detail == "2/2 worker threads alive"
+            later = [server.submit(t) for t in tiles[6:]]
+            labels = [h.result(timeout=60.0) for h in later]
+        np.testing.assert_array_equal(labels, acc.predict(tiles[6:]))
+        assert server.stats().failed == statuses.count(RequestStatus.FAILED)
 
     def test_accelerator_fallback_server_builds(self, trained_tiny_classifier):
         config = ServingConfig(

@@ -1,11 +1,8 @@
-"""Unit tests for repro.utils.tables, .serialization and .profiling."""
-
-import time
+"""Unit tests for repro.utils.tables and .serialization."""
 
 import numpy as np
 import pytest
 
-from repro.utils.profiling import OpCounter, Stopwatch, timed
 from repro.utils.serialization import load_arrays, save_arrays
 from repro.utils.tables import format_cell, render_matrix, render_table
 
@@ -78,42 +75,3 @@ class TestSerialization:
         path = save_arrays(tmp_path / "deep" / "dir" / "model", {"a": np.ones(2)})
         assert path.exists()
 
-
-class TestProfiling:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        for _ in range(3):
-            with sw.section("work"):
-                pass
-        assert sw.counts["work"] == 3
-        assert sw.mean("work") >= 0.0
-        assert "work" in sw.report()
-
-    def test_stopwatch_unknown_section(self):
-        with pytest.raises(KeyError):
-            Stopwatch().mean("nope")
-
-    def test_opcounter(self):
-        c = OpCounter()
-        c.add("mac_xnor", 100)
-        c.add("mac_xnor", 50)
-        c.add("compare", 10)
-        assert c.ops["mac_xnor"] == 150
-        assert c.total() == 160
-
-    def test_opcounter_merge(self):
-        a, b = OpCounter(), OpCounter()
-        a.add("x", 1)
-        b.add("x", 2)
-        b.add("y", 3)
-        a.merge(b)
-        assert a.ops == {"x": 3, "y": 3}
-
-    def test_opcounter_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            OpCounter().add("x", -1)
-
-    def test_timed(self):
-        with timed("dt") as out:
-            time.sleep(0.001)
-        assert out["dt"] > 0
