@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-batch", type=int, default=32)
         p.add_argument("--buckets", type=int, nargs="+", default=None,
                        metavar="N",
-                       help="pad micro-batches up to these sizes so "
-                            "shape-keyed backends compile a fixed plan set "
+                       help="process-pool batch buckets: the pool pads "
+                            "each micro-batch up to one of these sizes "
                             "(largest must cover --max-batch)")
         p.add_argument("--pool-workers", type=int, default=None,
                        help="process-pool worker count (default: one per "

@@ -450,8 +450,10 @@ class FinnAccelerator:
         """Argmax classification over the integer logits.
 
         ``execution`` picks the engine (default: planned single-process
-        inference); ``chunk_size`` bounds per-pass memory and is merged
-        into the config. Every engine is bit-identical by contract.
+        inference); ``chunk_size`` is merged into the config and bounds
+        the interpreted engine's per-pass memory (the planned engine's
+        pieces never exceed ``max_batch``). Every engine is
+        bit-identical by contract.
         """
         from repro.runtime import ExecutionConfig
 

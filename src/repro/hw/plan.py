@@ -66,6 +66,7 @@ from repro.nn.arena import BufferArena
 __all__ = [
     "ExecutionPlan",
     "PlanCache",
+    "MAX_PLAN_THREADS",
     "plan_key",
     "plan_unsupported_reason",
     "blas_exact_bound",
@@ -517,6 +518,11 @@ class ExecutionPlan:
         return result
 
 
+#: Most threads that run one accelerator's plans at once: the cap of
+#: :func:`repro.serving.backends.folding_concurrency`.
+MAX_PLAN_THREADS = 4
+
+
 class PlanCache:
     """Shape- and thread-keyed LRU cache of compiled execution plans.
 
@@ -525,14 +531,27 @@ class PlanCache:
     repeated batches reuse a plan across requests while concurrent
     workers never share buffers. Stale plans (arena cleared) are
     recompiled on lookup, never reused.
+
+    ``capacity`` defaults to the planned engine's whole piece set
+    (``default_buckets(max_batch)``, 6 sizes at the default
+    ``max_batch`` of 32) for each of :data:`MAX_PLAN_THREADS` threads:
+    6 × 4 = 24, so no live thread's pieces evict another's. Arenas exist
+    only for plans a thread actually compiled.
     """
 
     def __init__(
         self,
         accelerator,
-        capacity: int = 8,
+        capacity: Optional[int] = None,
         arena: Optional[BufferArena] = None,
     ) -> None:
+        if capacity is None:
+            from repro.parallel.bucketing import default_buckets
+            from repro.runtime.config import ExecutionConfig
+
+            capacity = MAX_PLAN_THREADS * len(
+                default_buckets(ExecutionConfig.max_batch)
+            )
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._accelerator = accelerator

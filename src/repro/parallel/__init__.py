@@ -18,6 +18,7 @@ from repro.parallel.bucketing import (
     bucket_for,
     default_buckets,
     pad_to_bucket,
+    split_batch,
     validate_buckets,
 )
 from repro.parallel.host import (
@@ -38,6 +39,7 @@ __all__ = [
     "bucket_for",
     "default_buckets",
     "pad_to_bucket",
+    "split_batch",
     "validate_buckets",
     "host_info",
     "logical_cpu_count",

@@ -1,28 +1,43 @@
 """Batch-shape bucketing: a fixed set of batch geometries for plan reuse.
 
 An :class:`~repro.hw.plan.ExecutionPlan` is compiled per batch size, so
-a serving workload whose micro-batches close at arbitrary sizes (7, 13,
-31, ...) churns the per-worker plan LRU and pays a recompile on almost
-every request. Bucketing rounds each batch *up* to the nearest size in a
-small fixed set (powers of two up to the batcher's ``max_batch_size`` by
-default), padding the tail with zero images.
+a workload whose batches arrive at arbitrary sizes (7, 13, 31, ...)
+would churn the plan LRU and pay a recompile on almost every call. Both
+planned paths therefore map every batch onto a small fixed set of sizes
+(powers of two up to ``max_batch`` by default), in one of two ways:
 
-Padding is legal because every planned stage is row-wise in the batch
-axis: im2col, the GEMM lowering, thresholding and pooling all treat
-image ``i``'s rows independently of image ``j``'s, so logits
-``[:n_valid]`` of a padded batch are bit-identical to the unpadded run
-(pinned by ``tests/test_parallel.py``). The pad rows cost compute but
-buy plan stability — with ``K`` buckets a worker compiles at most ``K``
-plans ever, regardless of traffic shape.
+* **pad** (:func:`pad_to_bucket`, the process pool): round the batch
+  *up* to the nearest bucket, filling the tail with zero images. One
+  plan call per batch; the pad rows cost compute.
+* **split** (:func:`split_batch`, the in-process planned engine): cut
+  the batch into pieces whose sizes are all in the set — as many full
+  ``max_batch`` pieces as fit, then the binary digits of the remainder.
+  No pad rows, at the price of up to ``log2(max_batch)`` extra plan
+  calls.
+
+Either way is legal because every planned stage is row-wise in the
+batch axis: im2col, the GEMM lowering, thresholding and pooling all
+treat image ``i``'s rows independently of image ``j``'s, so logits
+``[:n_valid]`` of a padded batch — and each piece of a split one — are
+bit-identical to the unpadded run (pinned by ``tests/test_parallel.py``
+and ``tests/test_runtime_contract.py``). With ``K`` sizes a thread
+compiles at most ``K`` plans ever, regardless of traffic shape.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["default_buckets", "validate_buckets", "bucket_for", "pad_to_bucket"]
+__all__ = [
+    "default_buckets",
+    "validate_buckets",
+    "bucket_for",
+    "pad_to_bucket",
+    "split_batch",
+]
 
 
 def default_buckets(max_batch: int) -> Tuple[int, ...]:
@@ -82,3 +97,23 @@ def pad_to_bucket(
         return images, n
     pad = np.zeros((bucket - n,) + images.shape[1:], dtype=images.dtype)
     return np.concatenate([images, pad], axis=0), n
+
+
+def split_batch(n: int, max_batch: int) -> Tuple[Tuple[int, int], ...]:
+    """``(start, stop)`` pieces that tile ``n`` items, largest first.
+
+    Every piece size is in :func:`default_buckets` (``max_batch``): as
+    many full ``max_batch`` pieces as fit, then one power of two per set
+    bit of the remainder. So with ``max_batch=32``, 200 splits as
+    6×32 + 8, 31 as 16+8+4+2+1 and 70 as 32+32+4+2; 0 yields no piece.
+    """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if max_batch <= 0:
+        raise ValueError(f"max_batch must be positive, got {max_batch}")
+    full, rest = divmod(n, max_batch)
+    sizes = [max_batch] * full + [
+        1 << bit for bit in reversed(range(rest.bit_length())) if rest >> bit & 1
+    ]
+    stops = tuple(accumulate(sizes))
+    return tuple(zip((0,) + stops[:-1], stops))

@@ -32,10 +32,16 @@ class ExecutionConfig:
     * ``isolation`` / ``workers`` — ``"process"`` fans batches over a
       shared-memory :class:`~repro.parallel.ProcessPool` of ``workers``
       processes; ``workers`` is meaningless (and rejected) without it.
-    * ``chunk_size`` — bound how many images flow through the datapath
-      at once (memory ceiling for coalesced serving batches).
-    * ``bucket_sizes`` / ``max_batch`` / ``slots`` — batch-shape buckets
-      and ring sizing for the process pool.
+    * ``chunk_size`` — bound how many images flow through the
+      interpreted engine at once (memory ceiling for coalesced serving
+      batches). The planned engine needs no such bound: its pieces
+      never exceed ``max_batch``.
+    * ``max_batch`` — the planned engine's piece ceiling: every batch
+      runs as pieces of ``max_batch`` and smaller powers of two (see
+      :func:`~repro.parallel.bucketing.split_batch`). Also the process
+      pool's largest batch.
+    * ``bucket_sizes`` / ``slots`` — batch-shape buckets and ring
+      sizing for the process pool.
     * ``trace_sample`` — telemetry binding: sample every Nth pool task
       into the worker span journals (``None`` = tracing off in workers).
     """

@@ -28,6 +28,7 @@ from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.parallel.bucketing import split_batch
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.registry import (
     EngineCapabilities,
@@ -170,7 +171,12 @@ class InterpretedEngine(_BaseEngine):
 class PlannedEngine(_BaseEngine):
     """Precompiled allocation-free BLAS plans from the accelerator's cache.
 
-    Plans come from the accelerator's shared
+    Every batch runs as pieces from one fixed size set
+    (:func:`~repro.parallel.bucketing.split_batch` with
+    ``config.max_batch``), so a thread compiles at most one plan per
+    power of two up to ``max_batch`` however batch sizes vary. Each
+    piece writes its rows of one logits array through
+    ``plan.execute(out=)``. Plans come from the accelerator's shared
     :class:`~repro.hw.plan.PlanCache`, so cache counters aggregate
     across engines and serving dashboards.
     """
@@ -195,32 +201,29 @@ class PlannedEngine(_BaseEngine):
 
     def run(self, batch, *, return_bits: bool = False):
         batch = _normalize(batch)
-        n = batch.shape[0]
-        chunk = self.config.chunk_size
-        if chunk is not None and return_bits:
-            raise ValueError("chunk_size cannot be combined with return_bits")
-        tracer = get_tracer()
-        with self._span(tracer, n) as span:
-            if chunk is not None and n > chunk:
-                parts = [
-                    self._run_one(batch[start : start + chunk], False,
-                                  tracer, span)
-                    for start in range(0, n, chunk)
-                ]
-                return np.concatenate(parts)
-            return self._run_one(batch, return_bits, tracer, span)
-
-    def _run_one(self, batch, return_bits, tracer, span):
         acc = self.accelerator
         n = batch.shape[0]
-        if batch.shape[1:] != acc.input_shape:
-            raise ValueError(
-                f"input {batch.shape[1:]} does not match accelerator "
-                f"input {acc.input_shape}"
-            )
-        if n == 0:
-            logits = np.zeros((0, acc.num_classes), dtype=np.int64)
-            return (logits, []) if return_bits else logits
+        tracer = get_tracer()
+        with self._span(tracer, n) as span:
+            if batch.shape[1:] != acc.input_shape:
+                raise ValueError(
+                    f"input {batch.shape[1:]} does not match accelerator "
+                    f"input {acc.input_shape}"
+                )
+            logits = np.empty((n, acc.num_classes), dtype=np.int64)
+            traces = [
+                self._run_piece(batch[start:stop], logits[start:stop],
+                                return_bits, tracer, span)
+                for start, stop in split_batch(n, self.config.max_batch)
+            ]
+        if return_bits:
+            return logits, [np.concatenate(stage) for stage in zip(*traces)]
+        return logits
+
+    def _run_piece(self, piece, out, return_bits, tracer, span):
+        """One plan call on a piece of a batch; its bit traces (or None)."""
+        acc = self.accelerator
+        n = piece.shape[0]
         plan, cache_hit = acc.plans.get(n)
         plan_span = None
         if span.recording:
@@ -240,8 +243,9 @@ class PlannedEngine(_BaseEngine):
                 },
             )
         try:
-            return plan.execute(
-                batch,
+            result = plan.execute(
+                piece,
+                out=out,
                 return_bits=return_bits,
                 tracer=tracer if span.recording else None,
                 parent=plan_span,
@@ -249,6 +253,7 @@ class PlannedEngine(_BaseEngine):
         finally:
             if plan_span is not None:
                 plan_span.finish()
+        return result[1] if return_bits else None
 
 
 class ProcessEngine(_BaseEngine):

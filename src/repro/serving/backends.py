@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.hw.compiler import FinnAccelerator, FoldingConfig
 from repro.hw.pipeline import analyze_pipeline
+from repro.hw.plan import MAX_PLAN_THREADS
 
 __all__ = [
     "InferenceBackend",
@@ -49,7 +50,9 @@ class InferenceBackend(Protocol):
         ...
 
 
-def folding_concurrency(folding: FoldingConfig, cap: int = 4) -> int:
+def folding_concurrency(
+    folding: FoldingConfig, cap: int = MAX_PLAN_THREADS
+) -> int:
     """Worker concurrency implied by a Table I folding dimensioning.
 
     A folding with ``D`` MVTUs describes a ``D``-deep streaming pipeline
@@ -136,10 +139,11 @@ class AcceleratorBackend:
     ``execution`` (an :class:`~repro.runtime.ExecutionConfig`, default:
     planned single-process inference) picks the runtime engine requests
     dispatch through; it is resolved at construction, so a bad config
-    fails here rather than on the first request. Repeated micro-batches
-    of the same shape reuse one persistent arena per worker thread and
-    allocate nothing. :meth:`plan_stats` surfaces the plan-cache
-    counters for serving dashboards.
+    fails here rather than on the first request. The planned engine
+    splits each micro-batch onto its fixed piece set, so every worker
+    thread reuses a few persistent plan arenas whatever the batch sizes;
+    ``chunk_size`` bounds only the interpreted engine. :meth:`plan_stats`
+    surfaces the plan-cache counters for serving dashboards.
     """
 
     def __init__(

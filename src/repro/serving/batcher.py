@@ -15,9 +15,8 @@ TIMED_OUT here, at collection time — they never occupy a batch slot.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
-from repro.parallel.bucketing import bucket_for, validate_buckets
 from repro.serving.admission import AdmissionQueue
 from repro.serving.request import InferenceRequest, RequestStatus
 from repro.utils.clock import MONOTONIC, Clock
@@ -31,13 +30,6 @@ class MicroBatcher:
     Multiple workers may call :meth:`next_batch` concurrently — the
     underlying queue hands each popped request to exactly one caller, so
     batches never share requests.
-
-    With ``buckets`` configured, the batcher advertises a fixed set of
-    batch geometries via :meth:`bucket_for`: the worker pool pads every
-    stacked batch up to its bucket before inference, so plan-cache-keyed
-    backends see at most ``len(buckets)`` distinct shapes no matter how
-    traffic coalesces (see :mod:`repro.parallel.bucketing` for why
-    padding cannot change the valid rows' results).
     """
 
     def __init__(
@@ -47,7 +39,6 @@ class MicroBatcher:
         max_wait_ms: float = 5.0,
         on_timeout: Optional[Callable[[InferenceRequest], None]] = None,
         clock: Clock = MONOTONIC,
-        buckets: Optional[Sequence[int]] = None,
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError(
@@ -58,19 +49,8 @@ class MicroBatcher:
         self.queue = queue
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_ms) / 1e3
-        self.buckets: Optional[Tuple[int, ...]] = (
-            validate_buckets(buckets, self.max_batch_size)
-            if buckets is not None
-            else None
-        )
         self._on_timeout = on_timeout
         self._clock = clock
-
-    def bucket_for(self, n: int) -> Optional[int]:
-        """The geometry a batch of ``n`` should be padded to (None: off)."""
-        if self.buckets is None:
-            return None
-        return bucket_for(n, self.buckets)
 
     def _admit(self, request: InferenceRequest, batch: List[InferenceRequest]) -> None:
         """Add a live request to the batch; expire/skip dead ones."""

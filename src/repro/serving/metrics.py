@@ -77,11 +77,6 @@ class ServerStats:
         return self.counters.get("pool_requeued", 0)
 
     @property
-    def padded_images(self) -> int:
-        """Pad rows added to reach a configured bucket geometry."""
-        return self.counters.get("padded_images", 0)
-
-    @property
     def mean_batch_size(self) -> float:
         total = sum(size * n for size, n in self.batch_histogram.items())
         batches = sum(self.batch_histogram.values())

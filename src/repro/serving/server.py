@@ -82,12 +82,14 @@ class ServingConfig:
     * ``num_workers`` — batcher/backend driver threads.
     * ``default_timeout_s`` — per-request deadline applied when
       ``submit`` does not specify one (``None`` = no deadline).
-    * ``bucket_sizes`` — optional batch-shape buckets: formed batches
-      are padded up to the nearest listed size so shape-keyed backends
-      (plan caches, the process pool) see a small fixed set of batch
-      geometries. The list must be strictly increasing positive sizes
-      and the largest bucket must cover ``max_batch_size`` — rejected
-      here rather than surfacing as padding errors deep in the batcher.
+    * ``bucket_sizes`` — optional batch-shape buckets for the process
+      pool only: :class:`~repro.serving.backends.ProcessPoolBackend`
+      pads each batch up to the nearest listed size inside its ring
+      slot (``None``: powers of two up to ``max_batch_size``). In-process
+      backends ignore it; the planned engine splits batches onto its own
+      fixed piece set. The list must be strictly increasing positive
+      sizes and the largest bucket must cover ``max_batch_size`` —
+      rejected here rather than surfacing as errors deep in the pool.
     """
 
     max_batch_size: int = 32
@@ -177,7 +179,6 @@ class InferenceServer:
             max_batch_size=self.config.max_batch_size,
             max_wait_ms=self.config.max_wait_ms,
             on_timeout=lambda _req: self.metrics.increment("timed_out"),
-            buckets=self.config.bucket_sizes,
         )
         self._workers = WorkerPool(
             self._batcher,

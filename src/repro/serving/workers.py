@@ -133,16 +133,6 @@ class WorkerPool:
             return
         try:
             images = np.stack([r.image for r in now_batch])
-            bucket = self.batcher.bucket_for(len(now_batch))
-            if bucket is not None and bucket > len(now_batch):
-                # Pad up to the bucket geometry so shape-keyed backends
-                # (the plan caches) see a fixed set of batch shapes; the
-                # pad rows' labels are sliced off below.
-                pad = np.zeros(
-                    (bucket - len(now_batch),) + images.shape[1:], images.dtype
-                )
-                images = np.concatenate([images, pad])
-                self.metrics.increment("padded_images", bucket - len(now_batch))
         except Exception as exc:  # noqa: BLE001 — e.g. tiles of mixed shapes
             self._fail(now_batch, exc, f"batch cannot be stacked: {exc}")
             return
@@ -211,7 +201,6 @@ class WorkerPool:
                     )
                     self.metrics.increment("backend_errors")
                     continue
-                labels = labels[: len(now_batch)]  # drop pad-row labels
                 batch_span.set_attribute("backend", backend.name)
                 self._complete(now_batch, labels, backend.name)
                 return

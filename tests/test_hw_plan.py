@@ -8,7 +8,9 @@ Locks the tentpole's contract:
    still come out identical through the planned engine, and a model
    outside float32's exact-integer range is not planned;
 2. plan-cache keys invalidate on folding-config or batch-shape change,
-   and a stale plan (arena cleared underneath it) is never reused;
+   a stale plan (arena cleared underneath it) is never reused, and a
+   sweep over every batch size compiles only the planned engine's fixed
+   piece set, per thread, within the default capacity;
 3. steady-state planned execution performs zero heap allocations
    (``perf``-marked tracemalloc gate, run by the CI bench step);
 4. the ``hw_plan`` telemetry span and the bench/CLI section selection
@@ -36,7 +38,7 @@ from repro.hw.plan import (
 )
 from repro.nn.arena import BufferArena
 from repro.runtime import ExecutionConfig, resolve_engine_name
-from repro.testing import randomize_bn_stats
+from repro.testing import make_tiny_bnn, randomize_bn_stats
 
 PROTOTYPES = ("cnv", "n-cnv", "u-cnv")
 INTERPRETED = ExecutionConfig(engine="interpreted")
@@ -56,6 +58,19 @@ def build_accelerator(name: str):
     randomize_bn_stats(model)
     model.eval()
     return compile_model(model, table1_folding(name), name=name)
+
+
+def build_tiny_accelerator():
+    model = make_tiny_bnn(seed=3)
+    randomize_bn_stats(model, seed=4)
+    model.eval()
+    return compile_model(
+        model, FoldingConfig(pe=(1, 1, 1, 1), simd=(1, 1, 1, 1)), name="tiny"
+    )
+
+
+def tiny_images(n: int) -> np.ndarray:
+    return np.random.default_rng(7).random((n, 8, 8, 3)).astype(np.float32)
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +296,43 @@ class TestPlanCache:
         np.testing.assert_array_equal(
             clone.execute(seed_batch), acc.execute(seed_batch)
         )
+
+
+    @staticmethod
+    def _sweep(acc, images):
+        """One ``predict`` per batch size 1..len(images), in order."""
+        for n in range(1, len(images) + 1):
+            acc.predict(images[:n])
+
+    def test_one_thread_compiles_the_piece_set_once(self):
+        acc = build_tiny_accelerator()
+        images = tiny_images(70)
+        self._sweep(acc, images)
+        stats = acc.plans.stats()
+        # 1..70 needs exactly the pieces {1, 2, 4, 8, 16, 32}
+        assert stats["misses"] == 6 and stats["plans"] == 6
+        self._sweep(acc, images)
+        assert acc.plans.stats()["misses"] == 6
+        piece_arenas = sum(
+            ExecutionPlan(acc, size).arena_nbytes
+            for size in (1, 2, 4, 8, 16, 32)
+        )
+        assert stats["arena_bytes"] <= piece_arenas
+
+    def test_two_threads_fit_the_default_capacity(self):
+        acc = build_tiny_accelerator()
+        images = tiny_images(70)
+        threads = [
+            threading.Thread(target=self._sweep, args=(acc, images))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        stats = acc.plans.stats()
+        assert stats["misses"] == 12 and stats["plans"] == 12  # no eviction
 
 
 class TestUnsupportedShapes:

@@ -2,8 +2,9 @@
 
 Locks the tentpole's contract:
 
-1. batch-shape bucketing is sound — ``bucket_for`` only ever answers a
-   configured geometry (hypothesis property), padding never changes the
+1. batch-shape bucketing is sound — ``bucket_for`` picks the smallest
+   covering bucket, ``split_batch`` only ever cuts pieces from the
+   default bucket set (hypothesis property), padding never changes the
    valid rows' logits, and bucketed traffic keeps the per-worker plan
    LRU from ever evicting;
 2. the multi-process pool is bit-exact against the single-process
@@ -42,6 +43,7 @@ from repro.parallel import (
     pad_to_bucket,
     physical_cpu_count,
     recommended_workers,
+    split_batch,
     validate_buckets,
 )
 from repro.serving import (
@@ -134,37 +136,35 @@ class TestBucketing:
         on_boundary, n = pad_to_bucket(padded, (4, 8))
         assert on_boundary is padded and n == 4  # no copy
 
+    def test_split_batch_takes_full_pieces_then_binary_digits(self):
+        def sizes(n, max_batch=32):
+            return [stop - start for start, stop in split_batch(n, max_batch)]
+
+        assert sizes(200) == [32] * 6 + [8]
+        assert sizes(31) == [16, 8, 4, 2, 1]
+        assert sizes(70) == [32, 32, 4, 2]
+        assert sizes(30, max_batch=12) == [12, 12, 4, 2]
+        assert split_batch(0, 32) == ()
+        with pytest.raises(ValueError, match="non-negative"):
+            split_batch(-1, 32)
+
     @given(
-        n=st.integers(min_value=1, max_value=64),
-        raw=st.lists(
-            st.integers(min_value=1, max_value=64), min_size=1, max_size=8
-        ),
+        n=st.integers(min_value=0, max_value=300),
+        max_batch=st.integers(min_value=1, max_value=64),
     )
     @settings(max_examples=200, deadline=None)
-    def test_batcher_only_requests_configured_geometries(self, n, raw):
-        """The bucketed batcher's advertised geometry is always one of
-        the configured buckets — the property the plan caches rely on."""
-        from repro.serving.batcher import MicroBatcher
-        from repro.serving.admission import AdmissionQueue
-
-        max_batch = 64
-        buckets = validate_buckets(raw + [max_batch], max_batch)
-        batcher = MicroBatcher(
-            AdmissionQueue(capacity=4), max_batch_size=max_batch,
-            buckets=buckets,
-        )
-        bucket = batcher.bucket_for(n)
-        assert bucket in buckets
-        assert bucket >= n
-        # minimality: no configured bucket between n and the answer
-        assert all(b < n or b >= bucket for b in buckets)
-
-    def test_unbucketed_batcher_advertises_nothing(self):
-        from repro.serving.batcher import MicroBatcher
-        from repro.serving.admission import AdmissionQueue
-
-        batcher = MicroBatcher(AdmissionQueue(capacity=4), max_batch_size=8)
-        assert batcher.bucket_for(3) is None
+    def test_split_only_yields_default_bucket_sizes(self, n, max_batch):
+        """The split tiles ``0..n`` with pieces from the default bucket
+        set — the property the planned engine's plan cache relies on."""
+        pieces = split_batch(n, max_batch)
+        edges = [0] + [stop for _, stop in pieces]
+        assert pieces == tuple(zip(edges[:-1], edges[1:]))
+        assert edges[-1] == n
+        sizes = [stop - start for start, stop in pieces]
+        assert set(sizes) <= set(default_buckets(max_batch))
+        assert sizes == sorted(sizes, reverse=True)
+        # at most one piece per bit of the remainder
+        assert len(sizes) - sizes.count(max_batch) == len(set(sizes) - {max_batch})
 
     def test_padding_does_not_change_valid_logits(self, tiny_acc, tiny_batch):
         plan5, _ = tiny_acc.plans.get(5)
@@ -462,10 +462,7 @@ class TestServingIntegration:
         with server:
             labels = server.predict(images, timeout=120.0)
         assert np.array_equal(np.asarray(labels), ref)
-        stats = server.stats()
-        assert stats.completed == 11
-        # some batch closed off-boundary and was padded up
-        assert stats.padded_images > 0
+        assert server.stats().completed == 11
 
     def test_injected_pool_backend_reports_concurrency(self, tiny_acc):
         pool = ProcessPool(tiny_acc, num_workers=2, max_batch=4, buckets=(4,))

@@ -2,7 +2,8 @@
 
 Every registered engine must reproduce the interpreted reference
 datapath exactly — logits for every Table I prototype under both input
-dtypes, and ``return_bits`` traces. This is the contract the
+dtypes and at batch sizes that straddle the planned engine's piece
+boundaries, and ``return_bits`` traces. This is the contract the
 capability flag ``bit_exact`` declares; a new engine registered without
 passing this file is a registry bug. Every engine also shares one
 input contract: NaN and ±inf pixels raise ``ValueError``.
@@ -33,6 +34,11 @@ ENGINE_CONFIGS = {
 }
 IN_PROCESS = tuple(n for n in ENGINE_CONFIGS if n != "process")
 
+#: Batch sizes around the planned engine's pieces (powers of two up to
+#: ``max_batch=32``): one piece, several small ones, exactly one full
+#: piece, a full piece plus one image, and more than two full pieces.
+SPLIT_SIZES = (1, 3, 7, 32, 33, 70)
+
 
 def build_accelerator(name: str):
     model = build_architecture(name, rng=0)
@@ -46,9 +52,9 @@ def accelerators():
     return {name: build_accelerator(name) for name in PROTOTYPES}
 
 
-def seed_batch(dtype):
+def seed_batch(dtype, n=4):
     rng = np.random.default_rng(1234)
-    images = rng.random((4, 32, 32, 3)).astype(np.float32)
+    images = rng.random((n, 32, 32, 3)).astype(np.float32)
     if dtype == "uint8":
         return (images * 255).astype(np.uint8)
     return images
@@ -68,25 +74,34 @@ def test_every_registered_engine_is_covered():
 @pytest.mark.parametrize("arch", PROTOTYPES)
 def test_engine_matches_interpreted_logits(accelerators, arch, engine_name, dtype):
     acc = accelerators[arch]
-    images = seed_batch(dtype)
+    images = seed_batch(dtype, n=max(SPLIT_SIZES))
+    # The reference is row-wise, so the full batch's logits hold every
+    # smaller batch's as a prefix.
     golden = reference_logits(acc, images)
     engine = create_engine(acc, ENGINE_CONFIGS[engine_name])
     assert engine.name == engine_name
-    np.testing.assert_array_equal(engine.run(images), golden)
+    for n in SPLIT_SIZES:
+        np.testing.assert_array_equal(
+            engine.run(images[:n]), golden[:n], err_msg=f"batch {n}"
+        )
 
 
 @pytest.mark.parametrize("engine_name", ["planned-blas"])
 @pytest.mark.parametrize("arch", PROTOTYPES)
 def test_planned_return_bits_match_interpreted(accelerators, arch, engine_name):
     acc = accelerators[arch]
-    images = seed_batch("f32")
-    golden_logits, golden_bits = reference_logits(acc, images, return_bits=True)
     engine = create_engine(acc, ENGINE_CONFIGS[engine_name])
-    logits, bits = engine.run(images, return_bits=True)
-    np.testing.assert_array_equal(logits, golden_logits)
-    assert len(bits) == len(golden_bits)
-    for got, ref in zip(bits, golden_bits):
-        np.testing.assert_array_equal(got, ref)
+    # 7 = 4+2+1 and 33 = 32+1: traces are concatenated across pieces.
+    for n in (7, 33):
+        images = seed_batch("f32", n=n)
+        golden_logits, golden_bits = reference_logits(
+            acc, images, return_bits=True
+        )
+        logits, bits = engine.run(images, return_bits=True)
+        np.testing.assert_array_equal(logits, golden_logits)
+        assert len(bits) == len(golden_bits)
+        for got, ref in zip(bits, golden_bits):
+            np.testing.assert_array_equal(got, ref, err_msg=f"batch {n}")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
