@@ -1,9 +1,10 @@
 """Host CPU topology: how much process parallelism is actually available.
 
-The bench trajectory and the process pool both need an honest picture of
-the machine they run on: logical CPU count, *physical* cores (SMT
-siblings share execution ports, so two hyperthreads running the XNOR
-GEMM are nowhere near two cores), and a sensible default worker count.
+The repository benchmark and the process pool both need an honest
+picture of the machine they run on: logical CPU count, *physical* cores
+(SMT siblings share execution ports, so two hyperthreads running the
+XNOR GEMM are nowhere near two cores), and a sensible default worker
+count.
 Everything here is best-effort and dependency-free — on hosts where
 ``/proc`` or ``sched_getaffinity`` is unavailable the logical count is
 the fallback.

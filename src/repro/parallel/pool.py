@@ -7,11 +7,14 @@ per worker), spawns the workers, and exposes a future-based submit API:
   slot, and enqueues a tiny task tuple to the least-loaded worker —
   arrays never cross a pipe (``return_bits`` traces are the deliberate
   pickled exception).
-* A collector thread drains the single result queue, copies logits out
-  of the slot (sliced back to the valid rows), frees the slot, and
-  resolves the future.
+* A collector thread drains the workers' result pipes, copies logits
+  out of the slot (sliced back to the valid rows), frees the slot, and
+  resolves the future. Each worker has its own pipe: a worker killed
+  while writing to a queue shared by all workers would leave that
+  queue's write lock held and starve every other worker.
 * Worker death is detected by the collector's idle heartbeat: the dead
-  worker is respawned with a fresh task queue and every task that was
+  worker is respawned with a fresh task queue and result pipe, the
+  results it sent before dying are taken, and every other task that was
   in flight on it is re-dispatched — inputs still sit untouched in
   their ring slots, and planned inference is deterministic, so a
   re-run after a partial completion is safe. The task queue buffers the
@@ -28,9 +31,9 @@ datapath never mixes into the first ``n_valid`` logits.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as std_queue
 import threading
 import time
+from multiprocessing.connection import wait as wait_ready
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -156,7 +159,7 @@ class ProcessPool:
         self._arenas: List[SharedArena] = [
             SharedArena(arena_bytes) for _ in range(self.num_workers)
         ]
-        self._result_q = self._ctx.Queue()
+        self._result_conns: List = [None] * self.num_workers
         self._task_qs: List = [None] * self.num_workers
         self._procs: List = [None] * self.num_workers
         self._lock = threading.Lock()
@@ -180,8 +183,10 @@ class ProcessPool:
 
     # -- worker lifecycle ----------------------------------------------------
     def _spawn(self, worker_id: int) -> None:
-        """(Re)start worker ``worker_id`` with a fresh task queue."""
+        """(Re)start worker ``worker_id`` with a fresh task queue and
+        result pipe."""
         q = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
             name=f"pool-worker-{worker_id}",
@@ -193,13 +198,17 @@ class ProcessPool:
                 self._arenas[worker_id].name,
                 self.buckets,
                 q,
-                self._result_q,
+                writer,
                 self.trace_sample,
             ),
             daemon=True,
         )
         proc.start()
+        # Only the worker may hold the write end, so its death reads as
+        # end-of-file on the parent side.
+        writer.close()
         self._task_qs[worker_id] = q
+        self._result_conns[worker_id] = reader
         self._procs[worker_id] = proc
 
     def _await_started(self, worker_ids) -> None:
@@ -215,17 +224,19 @@ class ProcessPool:
                     f"pool workers {sorted(waiting)} failed to start within "
                     f"{_START_TIMEOUT_S:.0f}s"
                 )
-            try:
-                msg = self._result_q.get(timeout=min(timeout, 0.5))
-            except std_queue.Empty:
-                continue
-            if msg[0] == "started":
-                waiting.discard(msg[1])
-            elif msg[0] == "fatal":
-                self.close()
-                raise RuntimeError(
-                    f"pool worker {msg[1]} failed to initialise: {msg[2]}"
-                )
+            conns = {self._result_conns[wid]: wid for wid in waiting}
+            for conn in wait_ready(list(conns), timeout=min(timeout, 0.5)):
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    msg = ("fatal", conns[conn], "exited during startup")
+                if msg[0] == "started":
+                    waiting.discard(msg[1])
+                elif msg[0] == "fatal":
+                    self.close()
+                    raise RuntimeError(
+                        f"pool worker {msg[1]} failed to initialise: {msg[2]}"
+                    )
 
     def alive_workers(self) -> int:
         """How many worker processes are currently alive."""
@@ -320,48 +331,64 @@ class ProcessPool:
     # -- collector -----------------------------------------------------------
     def _collect(self) -> None:
         while not self._closed:
-            try:
-                msg = self._result_q.get(timeout=0.05)
-            except std_queue.Empty:
+            conns = {
+                conn: wid for wid, conn in enumerate(self._result_conns)
+                if conn is not None
+            }
+            if conns:
+                ready = wait_ready(list(conns), timeout=0.05)
+            else:
+                ready = []
+                time.sleep(0.05)
+            for conn in ready:
+                try:
+                    self._handle(conn.recv())
+                except (EOFError, OSError):
+                    # The worker is gone; stop polling its pipe until
+                    # the reaper respawns it.
+                    conn.close()
+                    self._result_conns[conns[conn]] = None
+            if not ready or None in self._result_conns:
                 self._reap_dead()
-                continue
-            kind = msg[0]
-            if kind == "ok":
-                _, worker_id, task_id, slot, payload = msg
-                with self._lock:
-                    task = self._pending.pop(task_id, None)
-                if task is None:
-                    continue  # completed by a pre-respawn duplicate
-                out = self._ring.output_view(slot, task.batch)
-                logits = out[: task.n_valid].copy()
-                bits = None
-                if task.return_bits and payload is not None:
-                    bits = [stage[: task.n_valid] for stage in payload]
-                self._release_slot(slot)
-                task._resolve(logits, bits)
-            elif kind == "err":
-                _, worker_id, task_id, slot, detail = msg
-                with self._lock:
-                    task = self._pending.pop(task_id, None)
-                if task is None:
-                    continue
-                self.counters["errors"] += 1
-                self._emit("pool_task_errors", 1)
-                self._release_slot(slot)
-                task._fail(RuntimeError(
-                    f"pool worker {worker_id} failed task {task_id}: {detail}"
-                ))
-            elif kind in ("stats", "spans", "alloc"):
-                _, worker_id, req_id, payload = msg
-                with self._lock:
-                    entry = self._control.get(req_id)
-                if entry is not None:
-                    box, event = entry
-                    box[worker_id] = payload
-                    event.set()
-            # "started" handshakes after a respawn need no action; a
-            # "fatal" respawn failure leaves the process dead and the
-            # next _reap_dead pass handles (or gives up on) it.
+
+    def _handle(self, msg: Tuple) -> None:
+        kind = msg[0]
+        if kind == "ok":
+            _, worker_id, task_id, slot, payload = msg
+            with self._lock:
+                task = self._pending.pop(task_id, None)
+            if task is None:
+                return  # completed by a pre-respawn duplicate
+            out = self._ring.output_view(slot, task.batch)
+            logits = out[: task.n_valid].copy()
+            bits = None
+            if task.return_bits and payload is not None:
+                bits = [stage[: task.n_valid] for stage in payload]
+            self._release_slot(slot)
+            task._resolve(logits, bits)
+        elif kind == "err":
+            _, worker_id, task_id, slot, detail = msg
+            with self._lock:
+                task = self._pending.pop(task_id, None)
+            if task is None:
+                return
+            self.counters["errors"] += 1
+            self._emit("pool_task_errors", 1)
+            self._release_slot(slot)
+            task._fail(RuntimeError(
+                f"pool worker {worker_id} failed task {task_id}: {detail}"
+            ))
+        elif kind in ("stats", "spans", "alloc"):
+            _, worker_id, req_id, payload = msg
+            with self._lock:
+                entry = self._control.get(req_id)
+            if entry is not None:
+                box, event = entry
+                box[worker_id] = payload
+                event.set()
+        # "started" handshakes after a respawn need no action; a
+        # "fatal" respawn failure leaves the process dead and the
+        # next _reap_dead pass handles (or gives up on) it.
 
     def _reap_dead(self) -> None:
         """Respawn dead workers and re-dispatch their in-flight tasks."""
@@ -369,6 +396,17 @@ class ProcessPool:
             if self._closed or proc is None or proc.is_alive():
                 continue
             proc.join(timeout=0)
+            conn = self._result_conns[wid]
+            if conn is not None:
+                # Results the worker sent before it died are complete:
+                # take them rather than re-running their tasks.
+                try:
+                    while conn.poll():
+                        self._handle(conn.recv())
+                except (EOFError, OSError):
+                    pass
+                conn.close()
+                self._result_conns[wid] = None
             with self._lock:
                 orphans = [
                     t for t in self._pending.values() if t.worker_id == wid
@@ -501,6 +539,9 @@ class ProcessPool:
         collector = getattr(self, "_collector", None)
         if collector is not None and collector.is_alive():
             collector.join(timeout=2.0)
+        for conn in self._result_conns:
+            if conn is not None:
+                conn.close()
         with self._lock:
             leftovers = list(self._pending.values())
             self._pending.clear()

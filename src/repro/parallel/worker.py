@@ -20,8 +20,10 @@ batch, iters)``
 ``("stop",)``
     Clean exit (views dropped, segments detached).
 
-Replies all carry ``worker_id`` so the parent can merge telemetry and
-track in-flight work per worker for requeue-on-death.
+Replies go over the worker's own result pipe, which no other process
+writes to: a SIGKILL cannot leave a shared write lock held. They all
+carry ``worker_id`` so the parent can merge telemetry and track
+in-flight work per worker for requeue-on-death.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def worker_main(
     arena_name: str,
     buckets: Sequence[int],
     task_queue,
-    result_queue,
+    result_conn,
     trace_sample: Optional[int] = None,
 ) -> None:
     """Entry point run inside each pool process (see module docstring)."""
@@ -61,11 +63,11 @@ def worker_main(
     try:
         plans.prewarm(buckets)
     except Exception as exc:  # noqa: BLE001 - shipped to the parent
-        result_queue.put(("fatal", worker_id, repr(exc)))
+        result_conn.send(("fatal", worker_id, repr(exc)))
         ring.close()
         arena.close()
         return
-    result_queue.put(("started", worker_id, os.getpid()))
+    result_conn.send(("started", worker_id, os.getpid()))
     tasks_seen = 0
 
     # Slot views and plans live only inside these helpers: worker_main's
@@ -91,9 +93,9 @@ def worker_main(
                     in_view, out=out_view, tracer=tracer if sampled else None
                 )
                 payload = None
-            result_queue.put(("ok", worker_id, task_id, slot, payload))
+            result_conn.send(("ok", worker_id, task_id, slot, payload))
         except Exception as exc:  # noqa: BLE001 - reported per task
-            result_queue.put(("err", worker_id, task_id, slot, repr(exc)))
+            result_conn.send(("err", worker_id, task_id, slot, repr(exc)))
 
     def handle_stats(req_id: int) -> None:
         stats = plans.stats()
@@ -102,7 +104,7 @@ def worker_main(
         stats["arena_carved_bytes"] = arena.carved_bytes
         stats["arena_overflow_bytes"] = arena.overflow_bytes
         stats["arena_capacity"] = arena.capacity
-        result_queue.put(("stats", worker_id, req_id, stats))
+        result_conn.send(("stats", worker_id, req_id, stats))
 
     def handle_alloccheck(req_id: int, batch: int, iters: int) -> None:
         try:
@@ -113,7 +115,7 @@ def worker_main(
             report = measure_steady_state(
                 lambda: plan.execute(in_view, out=out_view), iters=iters
             )
-            result_queue.put((
+            result_conn.send((
                 "alloc",
                 worker_id,
                 req_id,
@@ -124,7 +126,7 @@ def worker_main(
                 },
             ))
         except Exception as exc:  # noqa: BLE001 - reported
-            result_queue.put(("alloc", worker_id, req_id, {"error": repr(exc)}))
+            result_conn.send(("alloc", worker_id, req_id, {"error": repr(exc)}))
 
     try:
         while True:
@@ -138,7 +140,7 @@ def worker_main(
             elif kind == "stats":
                 handle_stats(msg[1])
             elif kind == "spans":
-                result_queue.put(
+                result_conn.send(
                     ("spans", worker_id, msg[1], journal.snapshot())
                 )
             elif kind == "alloccheck":

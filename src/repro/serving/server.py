@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.hw.compiler import check_input_range
+from repro.hw.compiler import INPUT_SCALE, check_input_range
 from repro.serving.admission import AdmissionQueue
 from repro.serving.backends import (
     AcceleratorBackend,
@@ -53,20 +53,39 @@ from repro.telemetry.tracing import get_tracer
 __all__ = ["ServingConfig", "InferenceServer"]
 
 
-def _servable(image: np.ndarray) -> bool:
-    """Whether admission may queue ``image``.
+def _tile_shape(backend) -> Optional[Tuple[int, ...]]:
+    """The ``(H, W, C)`` tile ``backend``'s model takes, if it says."""
+    model = getattr(backend, "accelerator", None)
+    if model is None:
+        model = getattr(getattr(backend, "classifier", None), "model", None)
+    shape = getattr(model, "input_shape", None)
+    return None if shape is None else tuple(shape)
 
-    A batch stacks only ``(H, W, C)`` tiles, and every engine rejects
-    pixels outside the input domain (:func:`check_input_range`), so
-    admitting either would fail every request batched with it.
+
+def _admissible(
+    image: np.ndarray, tile_shape: Optional[Tuple[int, ...]]
+) -> Optional[np.ndarray]:
+    """The tile admission may queue for ``image``, or ``None``.
+
+    A batch stacks only tiles of one ``(H, W, C)`` (the backend's, when
+    it declares one), and every engine rejects pixels outside the input
+    domain (:func:`check_input_range`), so admitting either would fail
+    every request batched with it. An integer tile becomes float32
+    ``tile / 255`` so that it stacks with float tiles without turning
+    into floats of 0-255; that value quantises back to the same pixel
+    for every level in 0..255, so its label does not change.
     """
     if image.ndim != 3:
-        return False
+        return None
+    if tile_shape is not None and image.shape != tile_shape:
+        return None
     try:
         check_input_range(image)
     except (TypeError, ValueError):
-        return False
-    return True
+        return None
+    if np.issubdtype(image.dtype, np.integer):
+        return image.astype(np.float32) / INPUT_SCALE
+    return image
 
 
 @dataclass(frozen=True)
@@ -187,6 +206,7 @@ class InferenceServer:
             num_workers=self.config.num_workers,
             poll_timeout_s=self.config.worker_poll_s,
         )
+        self._tile_shape = _tile_shape(backend_list[0])
         self._started = False
         self._stopped = False
 
@@ -304,17 +324,20 @@ class InferenceServer:
         resolved as REJECTED (with a reason in ``handle.detail``) when
         admission control refuses it — inspect ``handle.status`` or let
         ``handle.result()`` raise. An image that is not one ``(H, W, C)``
-        tile, or whose pixels fall outside the input domain (NaN, inf,
-        a float outside ``[0, 1]``, an integer outside ``[0, 255]``), is
-        refused the same way (``invalid_input``): admitting it would
-        fail the requests coalesced with it. ``priority`` orders service
+        tile of the primary backend's input shape, or whose pixels fall
+        outside the input domain (NaN, inf, a float outside ``[0, 1]``,
+        an integer outside ``[0, 255]``), is refused the same way
+        (``invalid_input``): admitting it would fail the requests
+        coalesced with it. An integer tile is served as float32
+        ``tile / 255``, which keeps its label. ``priority`` orders service
         (higher first) and governs shedding under overload; ``timeout_s``
         (default: config's ``default_timeout_s``) is the per-request
         deadline after which a queued request is dropped as TIMED_OUT.
         """
         image = np.asarray(image)
+        tile = _admissible(image, self._tile_shape)
         request = InferenceRequest(
-            image,
+            image if tile is None else tile,
             priority=priority,
             timeout_s=(
                 self.config.default_timeout_s if timeout_s is None else timeout_s
@@ -333,7 +356,7 @@ class InferenceServer:
                 },
             )
         self.metrics.increment("submitted")
-        if not _servable(image):
+        if tile is None:
             reason = RejectionReason.INVALID_INPUT
         else:
             admission = self._queue.offer(request)

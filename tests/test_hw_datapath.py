@@ -5,16 +5,13 @@ Locks two properties of the reference XNOR/popcount datapath:
 1. golden logits captured from the boolean datapath on a fixed seed
    batch still come out bit-identical for every Table I prototype;
 2. the conveniences around it (empty batches, chunked prediction,
-   thread-parallel float-path prediction, the stream scan, the bench
-   harness) behave and stay result-identical.
+   thread-parallel float-path prediction, the stream scan) behave and
+   stay result-identical.
 """
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.core.architectures import build_architecture, table1_folding
 from repro.core.classifier import BinaryCoP
 from repro.hw.compiler import compile_model
@@ -138,31 +135,3 @@ class TestSimulateStreamScan:
                 np.testing.assert_array_equal(sim["start"], ref_start)
                 np.testing.assert_array_equal(sim["finish"], ref_finish)
 
-
-class TestBenchCLI:
-    def test_smoke_passes_and_validates_existing_doc(self, tmp_path):
-        out = tmp_path / "BENCH_throughput.json"
-        assert main(["bench", "--smoke", "--out", str(out)]) == 0
-        # Smoke mode records nothing.
-        assert not out.exists()
-
-    def test_smoke_rejects_malformed_doc(self, tmp_path):
-        out = tmp_path / "BENCH_throughput.json"
-        out.write_text(json.dumps({"schema": "wrong", "runs": []}))
-        assert main(["bench", "--smoke", "--out", str(out)]) == 1
-
-    def test_smoke_run_shape(self):
-        from repro.benchmarking import run_bench, validate_run
-
-        run = run_bench(smoke=True)
-        validate_run(run)
-        assert "pack_bits" in run["kernels"]
-        assert "xnor_gemm" in run["kernels"]
-        assert run["e2e"]["u-cnv"]["fps"] > 0
-        # The stage table comes from the hw_stage spans of one traced
-        # call: every stage once, in pipeline order.
-        model = build_architecture("u-cnv", rng=0)
-        acc = compile_model(model, table1_folding("u-cnv"))
-        stages = run["stages"]["u-cnv"]
-        assert [s["name"] for s in stages] == [st.name for st in acc.stages]
-        assert all(s["seconds"] >= 0 for s in stages)

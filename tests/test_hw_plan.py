@@ -12,9 +12,8 @@ Locks the tentpole's contract:
    sweep over every batch size compiles only the planned engine's fixed
    piece set, per thread, within the default capacity;
 3. steady-state planned execution performs zero heap allocations
-   (``perf``-marked tracemalloc gate, run by the CI bench step);
-4. the ``hw_plan`` telemetry span and the bench/CLI section selection
-   behave.
+   (``perf``-marked tracemalloc gate, run by its own CI step);
+4. the ``hw_plan`` telemetry span behaves.
 """
 
 import copy
@@ -25,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
 from repro.core.architectures import build_architecture, table1_folding
 from repro.hw.compiler import FoldingConfig, compile_model
 from repro.hw.plan import (
@@ -446,64 +444,3 @@ class TestAllocationMeasurement:
         )
         assert report.per_call_blocks == 0, report
 
-
-class TestBenchSections:
-    def test_unknown_section_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "BENCH.json"
-        rc = main(
-            ["bench", "--smoke", "--out", str(out), "--sections", "nope"]
-        )
-        assert rc == 2
-        assert "unknown bench section" in capsys.readouterr().err
-
-    def test_section_limited_run_is_not_recorded(self, tmp_path, capsys):
-        out = tmp_path / "BENCH.json"
-        rc = main(
-            ["bench", "--out", str(out), "--images", "2", "--repeats", "1",
-             "--archs", "u-cnv", "--sections", "kernels"]
-        )
-        assert rc == 0
-        assert not out.exists()
-        assert "not recorded" in capsys.readouterr().out
-
-    def test_smoke_includes_plan_section(self):
-        from repro.benchmarking import run_bench, validate_run
-
-        run = run_bench(smoke=True, sections=("plan",))
-        validate_run(run)
-        entry = run["plan"]["u-cnv"]
-        assert entry["supported"]
-        assert entry["planned"]["fps"] > 0
-        assert entry["steady_state_alloc_blocks"] == 0
-
-    def test_compare_to_best_ignores_other_labels_and_picks_toughest(self):
-        from repro.benchmarking import compare_to_best
-
-        def run(label, fps):
-            return {
-                "label": label,
-                "e2e": {"cnv": {"images": 4, "seconds": 4 / fps, "fps": fps}},
-            }
-
-        cur = run("full", 100.0)
-        priors = [run("smoke", 900.0), run("full", 80.0), run("full", 140.0)]
-        records = compare_to_best(priors, cur, tolerance=0.25)
-        assert len(records) == 1
-        rec = records[0]
-        # Gated against the best full run (140), not smoke's 900.
-        assert rec["previous"] == 140.0
-        assert rec["regressed"]
-        records = compare_to_best(priors, cur, tolerance=0.5)
-        assert not records[0]["regressed"]
-
-    def test_trajectory_doc_with_sectioned_run_roundtrips(self, tmp_path):
-        from repro.benchmarking import (
-            append_run, load_doc, run_bench, save_doc,
-        )
-
-        run = run_bench(smoke=True, sections=("kernels", "e2e", "stages"))
-        doc = append_run(None, run)
-        path = save_doc(doc, tmp_path / "BENCH.json")
-        assert load_doc(path)["runs"][0]["sections"] == [
-            "kernels", "stages", "e2e",
-        ]

@@ -15,8 +15,8 @@ Locks the tentpole's contract:
 4. the per-worker zero-allocation steady state survives the move into
    worker processes (``alloc_check`` runs the tracemalloc gate *inside*
    each worker);
-5. ``compare_to_best`` refuses to gate throughput across runs recorded
-   on hosts with different CPU counts.
+5. no shared-memory segment outlives ``ProcessPool.close()``, also after
+   a SIGKILLed worker was respawned.
 """
 
 import pickle
@@ -431,6 +431,44 @@ class TestPoolFaults:
         finally:
             pool.close()
 
+    def test_close_unlinks_every_segment(self, tiny_acc):
+        from multiprocessing.shared_memory import SharedMemory
+
+        images = np.random.default_rng(29).random((4, 8, 8, 3)).astype(
+            np.float32
+        )
+
+        def segment_names(pool):
+            return [pool._ring.name] + [arena.name for arena in pool._arenas]
+
+        def assert_unlinked(names):
+            for name in names:
+                with pytest.raises(FileNotFoundError):
+                    SharedMemory(name=name)
+
+        pool = ProcessPool(tiny_acc, num_workers=2, max_batch=4, buckets=(4,))
+        names = segment_names(pool)
+        pool.submit(images).result(timeout=120.0)
+        pool.close()
+        assert_unlinked(names)
+
+        pool = ProcessPool(tiny_acc, num_workers=2, max_batch=4, buckets=(4,))
+        try:
+            names = segment_names(pool)
+            pool._procs[0].kill()
+            deadline = time.monotonic() + 30.0
+            while (
+                pool.counters["worker_restarts"] < 1 or not pool.healthy()
+            ) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pool.counters["worker_restarts"] >= 1
+            assert pool.healthy()
+            pool.submit(images).result(timeout=120.0)
+            assert segment_names(pool) == names
+        finally:
+            pool.close()
+        assert_unlinked(names)
+
     def test_submit_after_close_raises(self, tiny_acc):
         pool = ProcessPool(tiny_acc, num_workers=1, max_batch=2, buckets=(2,))
         pool.close()
@@ -496,54 +534,3 @@ class TestPickling:
         assert clone._plan_cache is None and clone._engines == {}
         assert np.array_equal(clone.execute(tiny_batch), ref)
 
-
-# ---------------------------------------------------------------------------
-# benchmark gating across hosts
-# ---------------------------------------------------------------------------
-class TestBenchCpuCountGate:
-    @staticmethod
-    def _run(cpu_count, fps):
-        return {
-            "timestamp": 1.0,
-            "label": "full",
-            "cpu_count": cpu_count,
-            "e2e": {"u-cnv": {"images": 4, "seconds": 4 / fps, "fps": fps}},
-        }
-
-    def test_refuses_to_gate_across_core_counts(self):
-        from repro.benchmarking import compare_to_best
-
-        prior_4core = self._run(cpu_count=4, fps=2000.0)
-        cur_1core = self._run(cpu_count=1, fps=500.0)
-        assert compare_to_best([prior_4core], cur_1core) == []
-        # no recorded cpu_count never gates a run that has one
-        legacy = self._run(cpu_count=4, fps=2000.0)
-        del legacy["cpu_count"]
-        assert compare_to_best([legacy], cur_1core) == []
-
-    def test_gates_within_same_core_count(self):
-        from repro.benchmarking import compare_to_best
-
-        prior = self._run(cpu_count=1, fps=1000.0)
-        cur = self._run(cpu_count=1, fps=500.0)
-        records = compare_to_best([prior], cur)
-        assert len(records) == 1
-        assert records[0]["metric"] == "e2e.u-cnv.fps"
-        assert records[0]["regressed"]
-
-    def test_parallel_section_compares_only_equal_worker_counts(self):
-        from repro.benchmarking import compare_runs
-
-        def run(workers, fps):
-            par = {
-                "supported": True,
-                "workers": workers,
-                "single": {"seconds": 0.01, "fps": 400.0},
-                "pool": {"seconds": 0.01, "fps": fps},
-            }
-            return {"timestamp": 1.0, "label": "full", "parallel": par}
-
-        same = compare_runs(run(4, 1000.0), run(4, 900.0))
-        assert any(r["metric"] == "parallel.pool.fps" for r in same)
-        cross = compare_runs(run(4, 1000.0), run(1, 300.0))
-        assert not any("parallel" in r["metric"] for r in cross)

@@ -34,6 +34,7 @@ from repro.serving import (
     run_open_loop,
 )
 from repro.core.architectures import build_architecture, table1_folding
+from repro.core.classifier import BinaryCoP
 from repro.hw.compiler import FoldingConfig, compile_model
 from repro.runtime import ExecutionConfig
 from repro.testing import grid_images, make_tiny_bnn, randomize_bn_stats
@@ -659,17 +660,55 @@ class TestEndToEnd:
         assert stats.rejected == len(invalid) and stats.failed == 0
         assert stats.completed == len(images)
 
-    def test_unstackable_batch_fails_without_killing_its_worker(self):
+    def test_odd_tiles_do_not_fail_their_batch_mates(self):
+        # A uint8 tile coalesced with float tiles keeps the label it gets
+        # served alone; a tile of the wrong (H, W, C) is refused at
+        # admission instead of failing the batch it would join.
         model = build_architecture("u-cnv", rng=0)
         randomize_bn_stats(model, seed=1)
         model.eval()
         acc = compile_model(model, table1_folding("u-cnv"), name="u-cnv")
-        tiles = grid_images(8, hw=32)
-        small = grid_images(1, hw=16)[0]  # stacks with no 32x32 tile
+        tiles = grid_images(4, hw=32, seed=3)
+        pixels = np.rint(tiles[1] * 255).astype(np.uint8)
+        small = grid_images(1, hw=16)[0]
+        expected = acc.predict(tiles)
+        alone = acc.predict(pixels[None])[0]
+        config = ServingConfig(
+            max_batch_size=8, max_wait_ms=50.0, queue_capacity=16, num_workers=1
+        )
+        with InferenceServer.from_accelerator(acc, config) as server:
+            mixed = [server.submit(t) for t in (tiles[0], pixels, tiles[2])]
+            mixed_labels = [h.result(timeout=60.0) for h in mixed]
+            odd = [server.submit(t) for t in (tiles[0], small, tiles[3])]
+            statuses = [h.wait(timeout=60.0) for h in odd]
+        assert mixed_labels == [expected[0], alone, expected[2]]
+        assert statuses == [
+            RequestStatus.COMPLETED, RequestStatus.REJECTED,
+            RequestStatus.COMPLETED,
+        ]
+        assert "invalid_input" in odd[1].detail
+        assert [odd[0].result(), odd[2].result()] == [expected[0], expected[3]]
+        stats = server.stats()
+        assert stats.failed == 0 and stats.rejected == 1
+
+    def test_classifier_server_rejects_wrong_size_tile(self):
+        server = InferenceServer.from_classifier(BinaryCoP("u-cnv", rng=0))
+        handle = server.submit(grid_images(1, hw=16)[0])
+        assert handle.status is RequestStatus.REJECTED
+        assert "invalid_input" in handle.detail
+
+    def test_unstackable_batch_fails_without_killing_its_worker(self):
+        # A backend that declares no input shape cannot have a wrong-size
+        # tile refused at admission, so the tile fails the batch it joins.
+        backend = StubBackend(max_concurrency=2)
+        tiles = np.random.default_rng(5).random((8, 4, 4, 3)).astype(
+            np.float32
+        )
+        small = np.full((2, 2, 3), 0.5, dtype=np.float32)
         config = ServingConfig(
             max_batch_size=8, max_wait_ms=50.0, queue_capacity=16, num_workers=2
         )
-        with InferenceServer.from_accelerator(acc, config) as server:
+        with InferenceServer([backend], config) as server:
             handles = [server.submit(t) for t in tiles[:3]]
             handles.append(server.submit(small))
             handles += [server.submit(t) for t in tiles[3:6]]
@@ -682,7 +721,7 @@ class TestEndToEnd:
             assert workers.detail == "2/2 worker threads alive"
             later = [server.submit(t) for t in tiles[6:]]
             labels = [h.result(timeout=60.0) for h in later]
-        np.testing.assert_array_equal(labels, acc.predict(tiles[6:]))
+        np.testing.assert_array_equal(labels, backend.infer(tiles[6:]))
         assert server.stats().failed == statuses.count(RequestStatus.FAILED)
 
     def test_accelerator_fallback_server_builds(self, trained_tiny_classifier):

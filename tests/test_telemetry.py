@@ -20,6 +20,7 @@ from repro.cli import main
 from repro.core.architectures import build_architecture, table1_folding
 from repro.hw.compiler import compile_model
 from repro.hw.pipeline import analyze_pipeline
+from repro.runtime import ExecutionConfig
 from repro.serving import InferenceServer, ServingConfig
 from repro.telemetry import (
     NOOP_SPAN,
@@ -540,17 +541,33 @@ class TestHwTraces:
     def test_stage_spans_and_modelled_bottleneck_match_analytic(
         self, cnv_accelerator
     ):
+        self._check_stage_spans(cnv_accelerator, ExecutionConfig())
+
+    def test_interpreted_stage_spans_and_modelled_bottleneck_match_analytic(
+        self, cnv_accelerator
+    ):
+        self._check_stage_spans(
+            cnv_accelerator, ExecutionConfig(engine="interpreted")
+        )
+
+    @staticmethod
+    def _check_stage_spans(cnv_accelerator, execution):
         tracer, journal = make_tracer()
         activate(tracer)
         image = np.random.default_rng(0).random((1, 32, 32, 3)).astype(
             np.float32
         )
-        cnv_accelerator.predict(image)
+        cnv_accelerator.predict(image, execution=execution)
         deactivate()
-        summary = summarize_spans(journal.snapshot())
-        stage_names = [row.name for row in summary.hw_stages]
+        spans = journal.snapshot()
+        summary = summarize_spans(spans)
         analytic = analyze_pipeline(cnv_accelerator)
-        assert stage_names == [n for n, _ in analytic.stage_intervals]
+        pipeline = [n for n, _ in analytic.stage_intervals]
+        # one hw_stage span per stage, in pipeline order
+        assert [
+            s["name"] for s in spans if s["kind"] == "hw_stage"
+        ] == [f"hw.{name}" for name in pipeline]
+        assert [row.name for row in summary.hw_stages] == pipeline
         # the modelled bottleneck is the analytic II argmax, exactly
         assert summary.bottleneck_modelled == analytic.bottleneck[0]
         for row, (name, ii) in zip(
@@ -712,56 +729,3 @@ class TestCli:
         doc_text = capsys.readouterr().out
         assert doc_text == "\n" or doc_text.strip() == ""
 
-
-# ---------------------------------------------------------------------------
-# bench schema extension
-# ---------------------------------------------------------------------------
-class TestBenchTelemetrySection:
-    def _run_with_telemetry(self):
-        return {
-            "timestamp": 0.0, "label": "t", "kernels": {
-                "pack_bits": {"seconds": 0.1, "gbits_per_s": 1.0},
-                "unpack_bits": {"seconds": 0.1, "gbits_per_s": 1.0},
-                "xnor_gemm": {"x": {"seconds": 0.1, "gops_per_s": 1.0}},
-            },
-            "stages": {"u-cnv": [{"name": "s", "seconds": 0.1}]},
-            "e2e": {"u-cnv": {"images": 1, "seconds": 0.1, "fps": 10.0}},
-            "telemetry": {
-                "arch": "u-cnv", "images": 2,
-                "baseline": {"seconds": 0.1, "fps": 20.0},
-                "off": {"seconds": 0.1, "fps": 20.0,
-                        "overhead_vs_baseline": 0.0},
-                "sampled": {"sample_every": 64, "seconds": 0.1, "fps": 19.0,
-                            "overhead_vs_off": 0.05, "spans": 8},
-                "full": {"sample_every": 1, "seconds": 0.11, "fps": 18.0,
-                         "overhead_vs_off": 0.10, "spans": 16},
-            },
-        }
-
-    def test_validate_and_render(self):
-        from repro.benchmarking import render_run, validate_run
-
-        run = self._run_with_telemetry()
-        validate_run(run)
-        text = render_run(run)
-        assert "telemetry off" in text
-        assert "telemetry sampled" in text
-
-    def test_validate_rejects_malformed_section(self):
-        from repro.benchmarking import validate_run
-
-        run = self._run_with_telemetry()
-        del run["telemetry"]["sampled"]["overhead_vs_off"]
-        with pytest.raises(ValueError, match="overhead_vs_off"):
-            validate_run(run)
-
-    def test_compare_runs_covers_telemetry(self):
-        from repro.benchmarking import compare_runs
-
-        prev = self._run_with_telemetry()
-        cur = self._run_with_telemetry()
-        cur["telemetry"]["full"]["fps"] = 9.0  # halved throughput
-        records = compare_runs(prev, cur, tolerance=0.25)
-        by_metric = {r["metric"]: r for r in records}
-        assert by_metric["telemetry.off.fps"]["regressed"] is False
-        assert by_metric["telemetry.full.fps"]["regressed"] is True

@@ -190,80 +190,3 @@ class TestBinaryOpsOutParams:
         assert ste_grad(g, pre, variant, out=out) is out
         np.testing.assert_array_equal(ref, out)
 
-
-class TestBenchSchema:
-    @staticmethod
-    def _minimal_run(with_new_sections):
-        run = {
-            "timestamp": 1.0,
-            "label": "full",
-            "kernels": {
-                "pack_bits": {"seconds": 0.1},
-                "unpack_bits": {"seconds": 0.1},
-                "xnor_gemm": {"fc": {"seconds": 0.1}},
-            },
-            "stages": {"cnv": [{"name": "s", "seconds": 0.1}]},
-            "e2e": {"cnv": {"images": 1, "seconds": 0.1, "fps": 10.0}},
-        }
-        if with_new_sections:
-            run["generation"] = {
-                "samples": 4,
-                "serial": {"seconds": 0.1, "samples_per_s": 40.0},
-                "parallel": {
-                    "workers": 2,
-                    "seconds": 0.05,
-                    "samples_per_s": 80.0,
-                    "speedup_vs_serial": 2.0,
-                },
-                "cache": {
-                    "raw_size": 4,
-                    "cold_seconds": 0.2,
-                    "warm_seconds": 0.01,
-                    "warm_speedup": 20.0,
-                },
-            }
-            run["training"] = {
-                "arch": "cnv",
-                "batch_size": 8,
-                "steps": 2,
-                "baseline": {
-                    "epoch_seconds": 1.0, "steps_per_s": 2.0, "samples_per_s": 16.0,
-                },
-                "arena": {
-                    "epoch_seconds": 0.5, "steps_per_s": 4.0, "samples_per_s": 32.0,
-                },
-                "arena_speedup": 2.0,
-            }
-        return run
-
-    def test_sections_optional_but_validated(self):
-        from repro.benchmarking import validate_run
-
-        validate_run(self._minimal_run(False))  # pre-PR runs still validate
-        validate_run(self._minimal_run(True))
-        broken = self._minimal_run(True)
-        broken["training"]["arena"]["steps_per_s"] = 0.0
-        with pytest.raises(ValueError):
-            validate_run(broken)
-        broken = self._minimal_run(True)
-        del broken["generation"]["cache"]["warm_seconds"]
-        with pytest.raises(ValueError):
-            validate_run(broken)
-
-    def test_compare_runs_handles_mixed_presence(self):
-        from repro.benchmarking import compare_runs
-
-        old, new = self._minimal_run(False), self._minimal_run(True)
-        metrics = {r["metric"] for r in compare_runs(old, new)}
-        assert not any(m.startswith(("generation.", "training.")) for m in metrics)
-        metrics = {r["metric"] for r in compare_runs(new, new)}
-        assert "training.arena.steps_per_s" in metrics
-        assert "generation.cache.warm_seconds" in metrics
-
-    def test_compare_runs_flags_training_regression(self):
-        from repro.benchmarking import compare_runs
-
-        prev, cur = self._minimal_run(True), self._minimal_run(True)
-        cur["training"]["arena"]["steps_per_s"] = 1.0  # 4.0 -> 1.0
-        records = {r["metric"]: r for r in compare_runs(prev, cur)}
-        assert records["training.arena.steps_per_s"]["regressed"]
